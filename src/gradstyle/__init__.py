@@ -30,7 +30,7 @@ from .network import (
     descent_step,
     forward_maps,
     init_model,
-    pad_to_multiple8,
+    mirror_pad,
     param_count,
     style_correction,
     stylize,

@@ -21,7 +21,7 @@ from .network import (
     InferenceOptions,
     descent_step,
     init_model,
-    pad_to_multiple8,
+    mirror_pad,
     param_count,
     stylize,
 )
@@ -133,10 +133,10 @@ def _cmd_train(args) -> int:
         # style images (and their masks) are mirror-padded so the extractor's
         # full pyramid fits regardless of the source size
         style_img = read_image(style_path)
-        padded = _pad_for_loss(style_img.data, 16)
+        padded = mirror_pad(style_img.data, 16)
         mask = None
         if masks and masks[i].lower() != "none":
-            mask = _pad_for_loss(_read_mask(masks[i], soft=False)[None], 16)[0]
+            mask = mirror_pad(_read_mask(masks[i], soft=False)[None], 16)[0]
         styles.append((Tensor(padded), mask))
     cfg = TrainConfig(epochs=args.epochs, side=args.size, seed=args.seed)
     model = init_model(seed=args.seed, n_styles=len(styles))
@@ -172,7 +172,7 @@ def _cmd_stylize(args) -> int:
     hooks = None
     lam_info = {}
     if args.photoreal:
-        padded = Tensor(pad_to_multiple8(content.data))
+        padded = Tensor(mirror_pad(content.data, 8))
         hooks = build_pyramid(padded, epsilon=args.matting_eps,
                               order=args.cheb_order,
                               lambda_frac=args.lambda_star_frac)
@@ -212,16 +212,6 @@ def _cmd_stylize(args) -> int:
     return EXIT_OK
 
 
-def _pad_for_loss(data: np.ndarray, multiple: int) -> np.ndarray:
-    c, h, w = data.shape
-    nh, nw = -(-h // multiple) * multiple, -(-w // multiple) * multiple
-    if (nh, nw) == (h, w):
-        return data
-    ri = np.concatenate([np.arange(h), 2 * (h - 1) - np.arange(h, nh)])
-    ci = np.concatenate([np.arange(w), 2 * (w - 1) - np.arange(w, nw)])
-    return data[:, ri[:, None], ci[None, :]]
-
-
 def _cmd_compare(args) -> int:
     model = load_checkpoint(args.model)
     style_id = _checked_style_id(model, args.style_id)
@@ -233,7 +223,7 @@ def _cmd_compare(args) -> int:
     fe = default_extractor(model.extractor_seed)
     content = read_image(args.input)
     # both paths run on the same mirror-padded image so losses are comparable
-    padded = Tensor(_pad_for_loss(content.data, 2 ** (fe.depth - 1)))
+    padded = Tensor(mirror_pad(content.data, 2 ** (fe.depth - 1)))
     cfg = DescentConfig(iters=args.iters, mu=args.mu, init=args.init,
                         seed=args.seed)
     result = grad_descent_stylize(padded, target, fe, cfg)

@@ -224,20 +224,26 @@ def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
     if not 0 <= style_id < model.n_styles:
         raise ValueError(f"style id {style_id} out of range")
     opts = opts or InferenceOptions()
-    feats = forward_maps(x, model)
     style = model.styles[style_id]
     corrections = []
-    for l, feat in enumerate(feats):
+    # the features are dead once corrected: not holding them through the
+    # backward pyramid lowers an untaped step's peak memory
+    for l, feat in enumerate(forward_maps(x, model)):
         m = content_masks.masks[l] if content_masks is not None else None
         corrections.append(style_correction(feat, style.h[t][l], m))
     g = backward_map(corrections, model, opts.filter_hooks)
     return lincomb(x, g, 1.0, -opts.alpha)
 
 
-def pad_to_multiple8(data: np.ndarray) -> np.ndarray:
-    """Mirror-pad the bottom/right of a (c, h, w) array up to multiples of 8."""
+def mirror_pad(data: np.ndarray, multiple: int) -> np.ndarray:
+    """Mirror-pad the bottom/right of a (c, h, w) array up to multiples of
+    `multiple`.
+
+    The padding reflects about the last row/column without repeating it, so
+    each side needs more pixels than it gains; smaller inputs are rejected.
+    """
     c, h, w = data.shape
-    nh, nw = -(-h // 8) * 8, -(-w // 8) * 8
+    nh, nw = -(-h // multiple) * multiple, -(-w // multiple) * multiple
     if (nh, nw) == (h, w):
         return data
     if nh - h > h - 1 or nw - w > w - 1:
@@ -261,13 +267,13 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
     if data.min() < 0.0 or data.max() > 1.0:
         raise ValueError("content pixels must lie in [0, 1]")
     h, w = content.height, content.width
-    padded = pad_to_multiple8(data)
+    padded = mirror_pad(data, 8)
     content_masks = None
     if opts.content_mask is not None:
         mask = np.asarray(opts.content_mask, dtype=np.float64)
         if mask.shape != (h, w):
             raise ValueError(f"content mask shape {mask.shape} != image {h}x{w}")
-        mask3 = pad_to_multiple8(mask[None])[0]
+        mask3 = mirror_pad(mask[None], 8)[0]
         content_masks = build_mask_pyramid(mask3, len(CHANNELS))
     x = Tensor(padded)
     for t in range(NUM_STEPS):

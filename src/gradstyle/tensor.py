@@ -9,6 +9,7 @@ be differentiated by replaying the tape backward.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,25 +101,31 @@ class GradTape:
     """Recorded primitive applications, replayed in reverse by backward().
 
     Single-writer: one computation records and differentiates a tape; tapes
-    are not shared across concurrent computations.
+    are not shared across concurrent computations. The stack of open tapes
+    is per thread (and per asyncio task), so a tape opened in one thread
+    never records primitives evaluated in another.
     """
 
     records: list = field(default_factory=list)
 
     def __enter__(self):
-        _TAPES.append(self)
+        _TAPES.set(_TAPES.get() + (self,))
         return self
 
     def __exit__(self, *exc):
-        _TAPES.remove(self)
+        stack = _TAPES.get()
+        i = max(k for k, tape in enumerate(stack) if tape is self)
+        _TAPES.set(stack[:i] + stack[i + 1:])
         return False
 
 
-_TAPES: list[GradTape] = []
+_TAPES: ContextVar[tuple[GradTape, ...]] = ContextVar("gradstyle_tapes",
+                                                       default=())
 
 
 def _active_tape():
-    return _TAPES[-1] if _TAPES else None
+    stack = _TAPES.get()
+    return stack[-1] if stack else None
 
 
 def _emit(inputs, out_data, vjp, opname):
@@ -188,30 +195,52 @@ def xavier_init(shape, seed) -> np.ndarray:
 # reflection padding
 
 
-def _reflect_indices(n, pad):
-    """Index map realizing single reflection (edge pixel not duplicated).
-
-    For n == 1 the reflection degenerates to replication so that 1x1 feature
-    maps at the deepest network level remain convolvable.
-    """
-    idx = np.arange(-pad, n + pad)
-    idx = np.abs(idx)                       # left mirror
-    idx = np.where(idx >= n, 2 * (n - 1) - idx, idx)  # right mirror
-    return np.clip(idx, 0, n - 1)
+def _along(axis, index):
+    """Index tuple selecting `index` on one axis and everything on the axes
+    before it."""
+    return (slice(None),) * axis + (index,)
 
 
 def reflect_pad(arr, pad_h, pad_w):
-    """Mirror-pad the two trailing axes of a (c, h, w) array."""
+    """Mirror-pad the two trailing axes of a (c, h, w) array.
+
+    Single reflection (edge pixel not duplicated). For a side of 1 the
+    reflection degenerates to replication so that 1x1 feature maps at the
+    deepest network level remain convolvable.
+    """
     h, w = arr.shape[-2], arr.shape[-1]
     if pad_h >= h and h > 1 or pad_w >= w and w > 1:
         raise ValueError("reflection pad width must be smaller than the dimension")
-    ri = _reflect_indices(h, pad_h)
-    ci = _reflect_indices(w, pad_w)
-    return arr[..., ri[:, None], ci[None, :]]
+    widths = ((0, 0),) * (arr.ndim - 2) + ((pad_h, pad_h), (pad_w, pad_w))
+    return np.pad(arr, widths, mode="reflect")
+
+
+def _fold_reflect(g, pad, axis):
+    """Adjoint of reflect_pad along one axis: each mirrored entry is added
+    back onto the entry it copies."""
+    if pad == 0:
+        return g
+    n = g.shape[axis] - 2 * pad
+    out = g[_along(axis, slice(pad, pad + n))].copy()
+    for k in range(1, pad + 1):
+        lo, hi = (k, n - 1 - k) if n > 1 else (0, 0)
+        out[_along(axis, lo)] += g[_along(axis, pad - k)]
+        out[_along(axis, hi)] += g[_along(axis, pad + n - 1 + k)]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # primitives
+
+
+def _im2col(padded, kh, kw, h, w):
+    """(c*kh*kw, h*w) matrix of the kh*kw shifted views of a padded map."""
+    c = padded.shape[0]
+    cols = np.empty((c, kh, kw, h, w), dtype=np.float64)
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
+    return cols.reshape(c * kh * kw, h * w)
 
 
 def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -> Tensor:
@@ -227,22 +256,36 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -
         raise ValueError(f"channel mismatch: input {c}, kernel expects {ci}")
     ph, pw = kh // 2, kw // 2
     padded = reflect_pad(x.data, ph, pw)
-    # gather the kh*kw shifted views: cols[(dy,dx)] stacked -> (c*kh*kw, h*w)
-    cols = np.empty((c, kh, kw, h, w), dtype=np.float64)
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
-    cols2 = cols.reshape(c * kh * kw, h * w)
     w2 = kern.data.reshape(co, c * kh * kw)
-    pre = w2 @ cols2 + bias.data[:, None]
+    if co < c:
+        # Fewer outputs than inputs: one GEMM evaluates every tap over the
+        # padded grid, a (kh*kw*co, hp*wp) buffer instead of the larger
+        # (c*kh*kw, h*w) column matrix, and the shifted tap slices are summed.
+        # The columns are built only if the vjp runs.
+        cols = None
+        hp, wp = padded.shape[1:]
+        taps = kern.data.transpose(2, 3, 0, 1).reshape(kh * kw * co, c)
+        part = (taps @ padded.reshape(c, hp * wp)).reshape(kh, kw, co, hp, wp)
+        out_data = part[0, 0, :, :h, :w].copy()
+        for dy in range(kh):
+            for dx in range(kw):
+                if dy or dx:
+                    out_data += part[dy, dx, :, dy:dy + h, dx:dx + w]
+        out_data += bias.data[:, None, None]
+    else:
+        cols = _im2col(padded, kh, kw, h, w)
+        out_data = w2 @ cols
+        out_data += bias.data[:, None]
+        out_data = out_data.reshape(co, h, w)
     use_relu = layer.relu and apply_activation
-    out_data = np.maximum(pre, 0.0) if use_relu else pre
-    out_data = out_data.reshape(co, h, w)
+    if use_relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def vjp(g):
         g2 = g.reshape(co, h * w)
         if use_relu:
-            g2 = g2 * (pre > 0.0)
+            g2 = g2 * (out_data.reshape(co, h * w) > 0.0)
+        cols2 = cols if cols is not None else _im2col(padded, kh, kw, h, w)
         g_bias = g2.sum(axis=1)
         g_w = (g2 @ cols2.T).reshape(co, c, kh, kw)
         g_cols = (w2.T @ g2).reshape(c, kh, kw, h, w)
@@ -250,11 +293,7 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -
         for dy in range(kh):
             for dx in range(kw):
                 g_padded[:, dy:dy + h, dx:dx + w] += g_cols[:, dy, dx]
-        # adjoint of reflection padding: fold pad rows/cols onto their sources
-        ri = _reflect_indices(h, ph)
-        ci_ = _reflect_indices(w, pw)
-        g_x = np.zeros((c, h, w), dtype=np.float64)
-        np.add.at(g_x, (slice(None), ri[:, None], ci_[None, :]), g_padded)
+        g_x = _fold_reflect(_fold_reflect(g_padded, ph, 1), pw, 2)
         return g_x, g_w, g_bias
 
     return _emit((x, kern, bias), out_data, vjp, "conv2d_reflect")
@@ -265,41 +304,57 @@ def avg_pool2(x: Tensor) -> Tensor:
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    out_data = x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    xd = x.data
+    out_data = xd[:, 0::2, 0::2] + xd[:, 1::2, 0::2]
+    out_data += xd[:, 0::2, 1::2] + xd[:, 1::2, 1::2]
+    out_data *= 0.25
 
     def vjp(g):
-        gx = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25
+        q = 0.25 * g
+        gx = np.empty((c, h, w), dtype=np.float64)
+        for dy in (0, 1):
+            for dx in (0, 1):
+                gx[:, dy::2, dx::2] = q
         return (gx,)
 
     return _emit((x,), out_data, vjp, "avg_pool2")
 
 
-def _up2_axis(n):
-    """Half-pixel-centers source indices/weights for doubling one axis."""
-    src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
-    src = np.clip(src, 0.0, n - 1.0)
-    i0 = np.floor(src).astype(np.intp)
-    t = src - i0
-    i1 = np.minimum(i0 + 1, n - 1)
-    return i0, i1, 1.0 - t, t
+def _up2(a, axis):
+    """Double one axis with half-pixel-center bilinear sampling.
+
+    Interior outputs are fixed 0.75/0.25 blends of neighbouring inputs; the
+    first and last outputs are clamped copies of the edge inputs.
+    """
+    n = a.shape[axis]
+    out = np.empty(a.shape[:axis] + (2 * n,) + a.shape[axis + 1:])
+    quarter, three_quarters = a * 0.25, a * 0.75
+    lo, hi = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
+    out[_along(axis, 0)] = a[_along(axis, 0)]
+    np.add(three_quarters[lo], quarter[hi], out=out[_along(axis, slice(1, -1, 2))])
+    np.add(quarter[lo], three_quarters[hi], out=out[_along(axis, slice(2, None, 2))])
+    out[_along(axis, -1)] = a[_along(axis, -1)]
+    return out
+
+
+def _up2_adjoint(g, axis):
+    """Transpose of _up2 along the same axis."""
+    n = g.shape[axis] // 2
+    ga = np.zeros(g.shape[:axis] + (n,) + g.shape[axis + 1:])
+    odd, even = g[_along(axis, slice(1, -1, 2))], g[_along(axis, slice(2, None, 2))]
+    ga[_along(axis, slice(None, -1))] += odd * 0.75 + even * 0.25
+    ga[_along(axis, slice(1, None))] += odd * 0.25 + even * 0.75
+    ga[_along(axis, 0)] += g[_along(axis, 0)]
+    ga[_along(axis, -1)] += g[_along(axis, -1)]
+    return ga
 
 
 def bilinear_up2(x: Tensor) -> Tensor:
     """Doubling bilinear upsample with half-pixel-center sampling."""
-    c, h, w = x.data.shape
-    r0, r1, wr0, wr1 = _up2_axis(h)
-    c0, c1, wc0, wc1 = _up2_axis(w)
-    rows = x.data[:, r0, :] * wr0[None, :, None] + x.data[:, r1, :] * wr1[None, :, None]
-    out_data = rows[:, :, c0] * wc0[None, None, :] + rows[:, :, c1] * wc1[None, None, :]
+    out_data = _up2(_up2(x.data, 1), 2)
 
     def vjp(g):
-        g_rows = np.zeros((c, 2 * h, w), dtype=np.float64)
-        np.add.at(g_rows, (slice(None), slice(None), c0), g * wc0[None, None, :])
-        np.add.at(g_rows, (slice(None), slice(None), c1), g * wc1[None, None, :])
-        gx = np.zeros((c, h, w), dtype=np.float64)
-        np.add.at(gx, (slice(None), r0, slice(None)), g_rows * wr0[None, :, None])
-        np.add.at(gx, (slice(None), r1, slice(None)), g_rows * wr1[None, :, None])
-        return (gx,)
+        return (_up2_adjoint(_up2_adjoint(g, 2), 1),)
 
     return _emit((x,), out_data, vjp, "bilinear_up2")
 
@@ -328,6 +383,11 @@ def clip_unit(x: Tensor) -> Tensor:
     return clamp(x, lo=0.0, hi=1.0)
 
 
+def _scale(a, v):
+    """a * v, without the multiply when a is exactly 1 (bit-equal)."""
+    return v if a == 1.0 else a * v
+
+
 def lincomb(x: Tensor, y: Tensor | None = None, a: float = 1.0, b: float = 1.0) -> Tensor:
     """a*x + b*y (or a*x when y is omitted); shapes must match."""
     if y is None:
@@ -339,7 +399,9 @@ def lincomb(x: Tensor, y: Tensor | None = None, a: float = 1.0, b: float = 1.0) 
         return _emit((x,), out_data, vjp, "lincomb")
     if x.data.shape != y.data.shape:
         raise ValueError(f"lincomb shape mismatch: {x.data.shape} vs {y.data.shape}")
-    out_data = a * x.data + b * y.data
+    ax = _scale(a, x.data)
+    # x - y is bit-equal to x + (-1.0 * y)
+    out_data = ax - y.data if b == -1.0 else ax + _scale(b, y.data)
 
     def vjp2(g):
         return a * g, b * g
@@ -356,13 +418,15 @@ def chan_matmul(feat: Tensor, m: Tensor) -> Tensor:
     c, h, w = feat.data.shape
     if m.data.shape != (c, c):
         raise ValueError(f"matrix shape {m.data.shape} does not match {c} channels")
-    f2 = feat.data.reshape(c, h * w).T
-    out_data = (f2 @ m.data).T.reshape(c, h, w)
+    # (pixels, c) @ m evaluated as m^T @ (c, pixels), so the result is
+    # channel-major and contiguous like every other feature map
+    f2 = feat.data.reshape(c, h * w)
+    out_data = (m.data.T @ f2).reshape(c, h, w)
 
     def vjp(g):
-        g2 = g.reshape(c, h * w).T
-        g_f = (g2 @ m.data.T).T.reshape(c, h, w)
-        g_m = f2.T @ g2
+        g2 = g.reshape(c, h * w)
+        g_f = (m.data @ g2).reshape(c, h, w)
+        g_m = f2 @ g2.T
         return g_f, g_m
 
     return _emit((feat, m), out_data, vjp, "chan_matmul")

@@ -66,6 +66,26 @@ def bilinear_up2_reference(x):
     return out
 
 
+def _up2_gather_axis(n):
+    """Half-pixel-centers source indices and weights for doubling one axis."""
+    src = (np.arange(2 * n) + 0.5) / 2.0 - 0.5
+    src = np.clip(src, 0.0, n - 1.0)
+    i0 = np.floor(src).astype(np.intp)
+    t = src - i0
+    i1 = np.minimum(i0 + 1, n - 1)
+    return i0, i1, 1.0 - t, t
+
+
+def bilinear_up2_gather(x):
+    """Separable half-pixel-centers upsample as index gathers: rows, then
+    columns, each output the weighted sum of its two source samples."""
+    _, h, w = x.shape
+    r0, r1, wr0, wr1 = _up2_gather_axis(h)
+    c0, c1, wc0, wc1 = _up2_gather_axis(w)
+    rows = x[:, r0, :] * wr0[None, :, None] + x[:, r1, :] * wr1[None, :, None]
+    return rows[:, :, c0] * wc0[None, None, :] + rows[:, :, c1] * wc1[None, None, :]
+
+
 def gram_reference(feat, mask=None):
     """Explicit diagonal-matrix products: (M F)^T (M F) / tr(M)."""
     c, h, w = feat.shape

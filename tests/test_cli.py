@@ -70,6 +70,15 @@ class TestTrainCommand:
         assert code == 3
         assert "nope" in capsys.readouterr().err
 
+    def test_style_too_small_to_pad_exits_3(self, workspace, tmp_path, capsys):
+        style = tmp_path / "tiny.ppm"
+        write_ppm(style, smooth_image(np.random.default_rng(0), 3))
+        code = main(["train", "--contents", str(workspace["contents"]),
+                     "--style", str(style), "--out", str(tmp_path / "x.ckpt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too small" in err
+
     def test_missing_required_flag_exits_2(self, workspace):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--contents", str(workspace["contents"])])

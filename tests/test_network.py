@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,19 +14,22 @@ from gradstyle.network import (
     descent_step,
     forward_maps,
     init_model,
-    pad_to_multiple8,
+    mirror_pad,
     param_count,
     style_correction,
     stylize,
 )
 from gradstyle.tensor import (
+    GradTape,
     Tensor,
     avg_pool2,
+    backward,
     bilinear_up2,
     chan_matmul,
     conv2d_reflect,
     lincomb,
     masked_gram,
+    sqsum,
 )
 
 
@@ -303,8 +309,83 @@ def test_projector_hooks_keep_iterates_bandlimited(rng):
 
 def test_pad_to_multiple8_mirrors(rng):
     data = rng.uniform(0, 1, (1, 9, 10))
-    padded = pad_to_multiple8(data)
+    padded = mirror_pad(data, 8)
     assert padded.shape == (1, 16, 16)
     np.testing.assert_array_equal(padded[:, :9, :10], data)
     np.testing.assert_array_equal(padded[0, 9, :10], data[0, 7, :])
     np.testing.assert_array_equal(padded[0, :9, 10], data[0, :, 8])
+
+
+@pytest.mark.parametrize("side", [3, 6])
+def test_mirror_pad_rejects_sides_it_cannot_reflect_onto(side):
+    # padding 6 up to 16 would need 10 mirrored rows from 5 distinct ones
+    data = np.arange(float(side * 20)).reshape(1, side, 20)
+    with pytest.raises(ValueError, match="too small"):
+        mirror_pad(data, 16)
+    with pytest.raises(ValueError, match="too small"):
+        mirror_pad(data.transpose(0, 2, 1), 16)
+
+
+def test_tape_in_one_thread_records_nothing_from_another(rng):
+    """Two inference threads share a model while a third holds a tape open;
+    the tape sees only its own thread's primitives and every result is
+    bit-equal to a serial run."""
+    model = seeded_model(4)
+    img = Tensor(rng.uniform(0.1, 0.9, (3, 16, 16)))
+    hooked = InferenceOptions(filter_hooks=IdentityHooks())
+    tape_open, inference_done = threading.Event(), threading.Barrier(3)
+
+    def train_step(concurrent):
+        with GradTape() as tape:
+            loss = sqsum(descent_step(img, 0, model))
+            if concurrent:
+                tape_open.set()
+                inference_done.wait(timeout=60)
+            grads = backward(tape, loss)
+        return len(tape.records), grads[model.bwd[-1].kernel]
+
+    def infer(opts):
+        tape_open.wait(timeout=60)
+        try:
+            return stylize(img, model, 0, opts).data
+        finally:
+            inference_done.wait(timeout=60)
+
+    serial = {"plain": stylize(img, model).data,
+              "hooked": stylize(img, model, 0, hooked).data,
+              "train": train_step(False)}
+    results, errors = {}, []
+
+    def run(name, fn, *args):
+        try:
+            results[name] = fn(*args)
+        except Exception as err:       # reported by the assertion below
+            errors.append(f"{name}: {err!r}")
+
+    threads = [threading.Thread(target=run, args=("train", train_step, True)),
+               threading.Thread(target=run, args=("plain", infer, None)),
+               threading.Thread(target=run, args=("hooked", infer, hooked))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    np.testing.assert_array_equal(results["plain"], serial["plain"])
+    np.testing.assert_array_equal(results["hooked"], serial["hooked"])
+    assert results["train"][0] == serial["train"][0]
+    np.testing.assert_array_equal(results["train"][1], serial["train"][1])
+
+
+def test_untaped_stylize_builds_no_im2col_buffer(rng):
+    # the im2col matrix of the 16->3 conv at 128^2 alone is 9*16*128^2*8 B
+    model = init_model(0)
+    img = Tensor(rng.uniform(0.1, 0.9, (3, 128, 128)))
+    stylize(img, model)
+    tracemalloc.start()
+    try:
+        stylize(img, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 16 * 128 * 128 * 8

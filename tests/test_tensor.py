@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -257,6 +257,97 @@ def test_lincomb_matches_direct_arithmetic(seed, a, b):
     y = Tensor(rng.standard_normal((1, 3, 3)))
     np.testing.assert_allclose(lincomb(x, y, a, b).data,
                                a * x.data + b * y.data, atol=1e-12)
+
+
+# spatial sides cover the degenerate 1 (pad replicates), 2 (pad equals
+# side - 1) and odd sizes; channel relations select both conv GEMM orders
+SIDES = st.integers(1, 7)
+RELATIONS = {"fewer_out": (4, 2), "more_out": (2, 4), "equal": (3, 3)}
+ACTIVATIONS = {"relu": (True, True), "linear": (False, True),
+               "relu_deferred": (True, False)}
+
+
+def _conv_case(seed, relation, k, h, w, use_relu=False):
+    rng = np.random.default_rng(seed)
+    c, co = RELATIONS[relation]
+    x = Tensor(rng.uniform(-1, 1, (c, h, w)))
+    return x, make_layer(rng, co, c, k=k, use_relu=use_relu)
+
+
+def _vjp(build, g):
+    """Vector-Jacobian product of the single primitive `build` records."""
+    with GradTape() as tape:
+        out = build()
+    assert len(tape.records) == 1
+    return out.data, tape.records[0].vjp(g)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("relation", RELATIONS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.sampled_from((1, 3)), h=SIDES, w=SIDES)
+@example(seed=0, k=3, h=1, w=1)
+@example(seed=1, k=3, h=1, w=5)
+@example(seed=2, k=3, h=2, w=2)
+@example(seed=3, k=1, h=5, w=3)
+def test_conv_matches_oracle_for_any_shape(relation, activation, seed, k, h, w):
+    use_relu, apply = ACTIVATIONS[activation]
+    x, layer = _conv_case(seed, relation, k, h, w, use_relu)
+    out = conv2d_reflect(x, layer, apply_activation=apply)
+    ref = oracles.conv_reference(x.data, layer.kernel.data, layer.bias.data,
+                                 use_relu and apply)
+    assert np.max(np.abs(out.data - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.sampled_from((1, 3)), h=SIDES, w=SIDES)
+@example(seed=0, k=3, h=1, w=1)
+@example(seed=1, k=3, h=1, w=4)
+@example(seed=2, k=3, h=2, w=2)
+def test_conv_vjp_is_the_adjoint(relation, seed, k, h, w):
+    # a linear conv is bilinear in (input, kernel): <conv(x; W) + b, g>
+    # equals <x, g_x> + <b, g_b> and <W, g_w> + <b, g_b>
+    x, layer = _conv_case(seed, relation, k, h, w)
+    g = np.random.default_rng(seed + 1).standard_normal((layer.out_ch, h, w))
+    out, (g_x, g_w, g_b) = _vjp(lambda: conv2d_reflect(x, layer), g)
+    lhs = np.sum(out * g)
+    bias_term = np.sum(layer.bias.data * g_b)
+    scale = max(1.0, abs(lhs))
+    assert abs(np.sum(x.data * g_x) + bias_term - lhs) <= 1e-12 * scale
+    assert abs(np.sum(layer.kernel.data * g_w) + bias_term - lhs) <= 1e-12 * scale
+    np.testing.assert_allclose(g_b, g.reshape(layer.out_ch, -1).sum(axis=1),
+                               rtol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), c=st.integers(1, 3), h=SIDES, w=SIDES)
+@example(seed=0, c=1, h=1, w=1)
+@example(seed=1, c=2, h=1, w=6)
+@example(seed=2, c=2, h=5, w=1)
+def test_bilinear_up2_is_bit_equal_to_the_gather_formula(seed, c, h, w):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((c, h, w)))
+    np.testing.assert_array_equal(bilinear_up2(x).data,
+                                  oracles.bilinear_up2_gather(x.data))
+    g = rng.standard_normal((c, 2 * h, 2 * w))
+    out, (g_x,) = _vjp(lambda: bilinear_up2(x), g)
+    assert abs(np.sum(x.data * g_x) - np.sum(out * g)) <= 1e-12 * max(
+        1.0, abs(np.sum(out * g)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), c=st.integers(1, 3),
+       h=st.integers(1, 4), w=st.integers(1, 4))
+def test_avg_pool2_matches_oracle(seed, c, h, w):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((c, 2 * h, 2 * w)))
+    np.testing.assert_allclose(avg_pool2(x).data,
+                               oracles.pool_reference(x.data), atol=1e-15)
+    g = rng.standard_normal((c, h, w))
+    out, (g_x,) = _vjp(lambda: avg_pool2(x), g)
+    assert abs(np.sum(x.data * g_x) - np.sum(out * g)) <= 1e-12 * max(
+        1.0, abs(np.sum(out * g)))
 
 
 class TestXavier:
