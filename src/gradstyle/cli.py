@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
 
 from .graphfilter import build_pyramid
+from .guided import GuidedFilterParams
 from .imagecodec import CodecError, read_image, write_image
 from .network import (
     NUM_STEPS,
     InferenceOptions,
-    descent_step,
     init_model,
     mirror_pad,
     param_count,
     stylize,
+    unroll,
 )
 from .tensor import Tensor
 from .perceptual import (
@@ -49,6 +51,26 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 
+def _checked(convert, ok, rule):
+    """argparse type: convert the text, then reject values breaking `rule`."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+_COUNT = _checked(int, lambda v: v >= 0, ">= 0")
+_SIDE = _checked(int, lambda v: v > 0 and v % 8 == 0, "a positive multiple of 8")
+_FRACTION = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                     "finite and > 0")
+_INTENSITY = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                      "finite and >= 0")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gradstyle",
@@ -63,8 +85,8 @@ def _build_parser():
     p.add_argument("--style-mask", action="append", default=None,
                    help="binary mask for the matching --style ('none' to skip)")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--epochs", type=_COUNT, default=2)
+    p.add_argument("--size", type=_SIDE, default=64)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("stylize", help="stylize one image")
@@ -72,26 +94,26 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--style-id", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_INTENSITY, default=None,
                    help="transfer intensity (default 1.0, or 1.2 with --photoreal)")
     p.add_argument("--photoreal", action="store_true",
                    help="graph-filter the descent directions at runtime")
-    p.add_argument("--lambda-star-frac", type=float, default=0.2)
-    p.add_argument("--cheb-order", type=int, default=5)
-    p.add_argument("--matting-eps", type=float, default=1e-5)
+    p.add_argument("--lambda-star-frac", type=_FRACTION, default=0.2)
+    p.add_argument("--cheb-order", type=_AT_LEAST_ONE, default=5)
+    p.add_argument("--matting-eps", type=_POSITIVE, default=1e-5)
     p.add_argument("--content-mask", default=None)
     p.add_argument("--blend-mask", default=None)
     p.add_argument("--guided-filter", action="store_true")
-    p.add_argument("--gf-radius", type=int, default=8)
-    p.add_argument("--gf-eps", type=float, default=1e-4)
+    p.add_argument("--gf-radius", type=_AT_LEAST_ONE, default=8)
+    p.add_argument("--gf-eps", type=_POSITIVE, default=1e-4)
 
     p = sub.add_parser("compare",
                        help="gradient-descent loss trajectory vs the network")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--style-id", type=int, default=0)
-    p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--iters", type=_COUNT, required=True)
+    p.add_argument("--mu", type=_POSITIVE, default=None)
     p.add_argument("--init", choices=("content", "noise"), default="content")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -189,9 +211,8 @@ def _cmd_stylize(args) -> int:
         blend_mask=(_read_mask(args.blend_mask, soft=True)
                     if args.blend_mask else None),
         filter_hooks=hooks,
-        guided=args.guided_filter,
-        gf_radius=args.gf_radius,
-        gf_eps=args.gf_eps,
+        guided=(GuidedFilterParams(args.gf_radius, args.gf_eps)
+                if args.guided_filter else None),
     )
     out = stylize(content, model, style_id, opts)
     write_image(args.output, out)
@@ -228,12 +249,9 @@ def _cmd_compare(args) -> int:
                         seed=args.seed)
     result = grad_descent_stylize(padded, target, fe, cfg)
 
-    x = padded
-    for t in range(NUM_STEPS):
-        x = descent_step(x, t, model, style_id)
     c_feats = extract_features(padded, fe)
-    _, net_parts = total_loss(x, c_feats, target, fe, LossWeights(),
-                              return_parts=True)
+    _, net_parts = total_loss(unroll(padded, model, style_id), c_feats, target,
+                              fe, LossWeights(), return_parts=True)
 
     rows = [("gd", r.iter, r.total, r.content, r.style, r.tv)
             for r in result.trajectory]

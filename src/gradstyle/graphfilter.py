@@ -48,14 +48,6 @@ class SparseLaplacian:
         self.matvec_count += 1 if x.ndim == 1 else x.shape[1]
         return self.mat @ x
 
-    @classmethod
-    def from_matrix(cls, mat, height, width) -> "SparseLaplacian":
-        lap = cls(sp.csr_matrix(mat), height, width)
-        est = estimate_lambda_max(lap)
-        lap.lambda_max = est.value
-        lap.degenerate = est.degenerate
-        return lap
-
 
 def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLaplacian:
     """Matting Laplacian of an RGB image from 3x3 local affine models.
@@ -91,9 +83,7 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     cols = np.broadcast_to(win_idx[:, None, :], vals.shape).ravel()
     mat = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     lap = SparseLaplacian(mat, h, w)
-    est = estimate_lambda_max(lap)
-    lap.lambda_max = est.value
-    lap.degenerate = est.degenerate
+    lap.lambda_max, lap.degenerate = estimate_lambda_max(lap)
     return lap
 
 
@@ -310,7 +300,9 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
         raise ValueError("content dims must be multiples of 8")
     laps, filts = [], []
     img = data
-    for _ in range(4):
+    for level in range(4):
+        if level:
+            img = np.clip(_block_mean2(img), 0.0, 1.0)
         _, h, w = img.shape
         if h < 3 or w < 3:
             lap = SparseLaplacian(sp.csr_matrix((h * w, h * w)), h, w,
@@ -323,13 +315,4 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
             filts.append(jackson_cheb_coeffs(
                 order, lambda_frac * lap.lambda_max, lap.lambda_max))
         laps.append(lap)
-        img = np.clip(_block_mean2(img), 0.0, 1.0)
     return LaplacianPyramid(laps, filts)
-
-
-def export_triplets(lap: SparseLaplacian, path):
-    """Debug dump: one `i j value` line per stored entry, 0-indexed."""
-    coo = lap.mat.tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")

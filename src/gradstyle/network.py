@@ -15,21 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perceptual import MaskPyramid, build_mask_pyramid
+from .guided import GuidedFilterParams, guided_filter
+from .perceptual import MaskPyramid, build_mask_pyramid, conv_pyramid, conv_stack
 from .tensor import (
     ConvLayer,
-    GradTape,
     Tensor,
     _active_tape,
-    avg_pool2,
     bilinear_up2,
     chan_matmul,
     clip_unit,
     conv2d_reflect,
+    fresh_weights,
     lincomb,
     masked_gram,
     relu,
-    xavier_init_rng,
 )
 
 CHANNELS = (16, 32, 64, 128)
@@ -86,26 +85,29 @@ class UnrolledModel:
         return [p for ps in self.param_groups(style_id).values() for p in ps]
 
 
+def layer_stacks(weight, n_styles: int):
+    """Forward convs, mirrored backward convs and each style's matrices.
+
+    weight(shape) supplies every array in checkpoint payload order: forward
+    convs in depth order (kernel, then bias), backward convs from the deepest
+    level up, then per style the matrices in (step, level) order.
+    """
+    fwd = conv_stack(CHANNELS, weight)
+    ins = (3,) + CHANNELS[:-1]
+    bwd = [ConvLayer(Tensor(weight((ci, co, 3, 3))), Tensor(weight((ci,))),
+                     relu=l > 0)
+           for l, ci, co in zip((3, 2, 1, 0), ins[::-1], CHANNELS[::-1])]
+    styles = [[[Tensor(weight((c, c))) for c in CHANNELS]
+               for _ in range(NUM_STEPS)] for _ in range(n_styles)]
+    return fwd, bwd, styles
+
+
 def init_model(seed: int = 0, n_styles: int = 1,
                extractor_seed: int | None = None) -> UnrolledModel:
     """Canonical model: Xavier conv stacks, zero style matrices."""
-    rng = np.random.default_rng(seed)
-    fwd, bwd = [], []
-    in_ch = 3
-    for out_ch in CHANNELS:
-        fwd.append(ConvLayer(Tensor(xavier_init_rng(rng, (out_ch, in_ch, 3, 3))),
-                             Tensor(np.zeros(out_ch)), relu=True))
-        in_ch = out_ch
-    rev = (3,) + CHANNELS[:-1]
-    for i in range(len(CHANNELS) - 1, -1, -1):
-        bwd.append(ConvLayer(Tensor(xavier_init_rng(rng, (rev[i], CHANNELS[i], 3, 3))),
-                             Tensor(np.zeros(rev[i])), relu=i > 0))
-    styles = [
-        StyleParams([[Tensor(np.zeros((c, c))) for c in CHANNELS]
-                     for _ in range(NUM_STEPS)])
-        for _ in range(n_styles)
-    ]
-    return UnrolledModel(fwd, bwd, styles,
+    fwd, bwd, styles = layer_stacks(fresh_weights(np.random.default_rng(seed)),
+                                    n_styles)
+    return UnrolledModel(fwd, bwd, [StyleParams(h) for h in styles],
                          extractor_seed=seed if extractor_seed is None else extractor_seed)
 
 
@@ -126,19 +128,18 @@ class InferenceOptions:
     the style correction to a semantic region. filter_hooks is a pyramid
     object providing filter_map(level, array); levels run full, 1/2, 1/4,
     1/8 resolution. blend_mask softly recombines the result with the input.
+    guided, when set, guided-filters the result against the content.
     """
 
     alpha: float = 1.0
     content_mask: np.ndarray | None = None
     filter_hooks: object | None = None
     blend_mask: np.ndarray | None = None
-    guided: bool = False
-    gf_radius: int = 8
-    gf_eps: float = 1e-4
+    guided: GuidedFilterParams | None = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not np.isfinite(self.alpha) or self.alpha < 0:
+            raise ValueError("alpha must be finite and >= 0")
         if self.blend_mask is not None:
             bm = np.asarray(self.blend_mask, dtype=np.float64)
             if bm.min() < 0.0 or bm.max() > 1.0:
@@ -158,14 +159,7 @@ def forward_maps(x: Tensor, model: UnrolledModel) -> list[Tensor]:
     if x.height % 8 or x.width % 8:
         raise ValueError(f"spatial dims must be multiples of 8, got "
                          f"{x.height}x{x.width}")
-    feats = []
-    cur = x
-    for i, layer in enumerate(model.fwd):
-        cur = conv2d_reflect(cur, layer)
-        feats.append(cur)
-        if i + 1 < len(model.fwd):
-            cur = avg_pool2(cur)
-    return feats
+    return conv_pyramid(x, model.fwd)
 
 
 def style_correction(feat: Tensor, h_mat: Tensor,
@@ -235,6 +229,15 @@ def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
     return lincomb(x, g, 1.0, -opts.alpha)
 
 
+def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
+           opts: InferenceOptions | None = None,
+           content_masks: MaskPyramid | None = None) -> Tensor:
+    """The network: all NUM_STEPS descent steps from x, unclipped."""
+    for t in range(NUM_STEPS):
+        x = descent_step(x, t, model, style_id, opts, content_masks)
+    return x
+
+
 def mirror_pad(data: np.ndarray, multiple: int) -> np.ndarray:
     """Mirror-pad the bottom/right of a (c, h, w) array up to multiples of
     `multiple`.
@@ -275,18 +278,14 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
             raise ValueError(f"content mask shape {mask.shape} != image {h}x{w}")
         mask3 = mirror_pad(mask[None], 8)[0]
         content_masks = build_mask_pyramid(mask3, len(CHANNELS))
-    x = Tensor(padded)
-    for t in range(NUM_STEPS):
-        x = descent_step(x, t, model, style_id, opts, content_masks)
+    x = unroll(Tensor(padded), model, style_id, opts, content_masks)
     out = clip_unit(x).data[:, :h, :w]
     if opts.blend_mask is not None:
         bm = opts.blend_mask
         if bm.shape != (h, w):
             raise ValueError(f"blend mask shape {bm.shape} != image {h}x{w}")
         out = bm[None] * out + (1.0 - bm[None]) * data
-    if opts.guided:
-        from .guided import GuidedFilterParams, guided_filter
-        params = GuidedFilterParams(radius=opts.gf_radius, eps=opts.gf_eps)
-        out = guided_filter(Tensor(out), content, params).data
-        out = np.clip(out, 0.0, 1.0)
+    if opts.guided is not None:
+        out = np.clip(guided_filter(Tensor(out), content, opts.guided).data,
+                      0.0, 1.0)
     return Tensor(out)

@@ -19,11 +19,11 @@ from .tensor import (
     avg_pool2,
     clip_unit,
     conv2d_reflect,
+    fresh_weights,
     lincomb,
     masked_gram,
     sqsum,
     tv,
-    xavier_init_rng,
 )
 
 
@@ -61,20 +61,33 @@ class FeatureExtractor:
         return tuple(layer.out_ch for layer in self.layers)
 
 
+def conv_stack(channels, weight) -> list[ConvLayer]:
+    """ReLU 3x3 convs from 3 channels through each entry of `channels`.
+
+    weight(shape) supplies each layer's kernel, then its bias, in depth
+    order, which is the order of a checkpoint's payload.
+    """
+    ins = (3,) + tuple(channels[:-1])
+    return [ConvLayer(Tensor(weight((co, ci, 3, 3))), Tensor(weight((co,))))
+            for ci, co in zip(ins, channels)]
+
+
+def conv_pyramid(x: Tensor, layers: list[ConvLayer]) -> list[Tensor]:
+    """Every layer's output, with 2x2 average pooling between layers."""
+    feats = [conv2d_reflect(x, layers[0])]
+    for layer in layers[1:]:
+        feats.append(conv2d_reflect(avg_pool2(feats[-1]), layer))
+    return feats
+
+
 def default_extractor(seed: int = 0) -> FeatureExtractor:
     """5-level extractor with channels (8, 16, 32, 64, 64), seeded Xavier weights.
 
     Style statistics are read from all five levels, content from the fourth.
     Biases are zero, so the extractor is positively homogeneous.
     """
-    rng = np.random.default_rng(seed)
-    layers = []
-    in_ch = 3
-    for out_ch in DEFAULT_CHANNELS:
-        kernel = Tensor(xavier_init_rng(rng, (out_ch, in_ch, 3, 3)))
-        bias = Tensor(np.zeros(out_ch))
-        layers.append(ConvLayer(kernel, bias, relu=True))
-        in_ch = out_ch
+    layers = conv_stack(DEFAULT_CHANNELS,
+                        fresh_weights(np.random.default_rng(seed)))
     return FeatureExtractor(layers, style_layers=(0, 1, 2, 3, 4),
                             content_layers=(3,), seed=seed)
 
@@ -87,14 +100,7 @@ def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:
     if x.height % div or x.width % div:
         raise ValueError(
             f"spatial dims {x.height}x{x.width} not divisible by {div}")
-    feats = []
-    cur = x
-    for i, layer in enumerate(fe.layers):
-        cur = conv2d_reflect(cur, layer)
-        feats.append(cur)
-        if i + 1 < fe.depth:
-            cur = avg_pool2(cur)
-    return feats
+    return conv_pyramid(x, fe.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +150,8 @@ def build_mask_pyramid(mask: np.ndarray, levels: int) -> MaskPyramid:
     return MaskPyramid(out)
 
 
-def propagate_mask(mask: np.ndarray, fe: FeatureExtractor) -> MaskPyramid:
-    """Mask pyramid matching the extractor's level resolutions."""
-    return build_mask_pyramid(mask, fe.depth)
-
-
 # ---------------------------------------------------------------------------
-# Gram matrices and style targets
-
-
-def gram(f: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Normalized channel Gram of a feature map, optionally pixel-masked.
-
-    With an all-ones mask this equals the unmasked form exactly.
-    """
-    return masked_gram(f, mask)
+# style targets
 
 
 @dataclass
@@ -173,27 +166,18 @@ class StyleTarget:
             raise ValueError("style weight must be positive")
 
 
-def style_weight_auto(style: Tensor, fe: FeatureExtractor,
-                      style_mask: np.ndarray | None = None) -> float:
-    """Reciprocal of the mean squared Gram energy of the style image.
+def build_style_target(style: Tensor, fe: FeatureExtractor,
+                       style_mask: np.ndarray | None = None) -> StyleTarget:
+    """The style layers' (optionally masked) Grams and the auto style weight.
 
-    Normalizing by this value gives different styles a comparable initial
-    pull. Scaling the style features by s scales the result by s^-4.
+    The weight is the reciprocal of the mean squared Gram energy, so
+    different styles get a comparable initial pull; scaling the style
+    features by s scales it by s^-4.
     """
-    grams = _style_grams(style, fe, style_mask)
-    return _weight_from_grams(grams, fe)
-
-
-def _style_grams(style, fe, style_mask):
-    pyramid = propagate_mask(style_mask, fe) if style_mask is not None else None
+    masks = (build_mask_pyramid(style_mask, fe.depth).masks
+             if style_mask is not None else [None] * fe.depth)
     feats = extract_features(style, fe)
-    grams = []
-    for i, lvl in enumerate(fe.style_layers):
-        m = pyramid.masks[lvl] if pyramid is not None else None
-        grams.append(gram(feats[lvl], m).data)
-    return grams
-
-def _weight_from_grams(grams, fe):
+    grams = [masked_gram(feats[lvl], masks[lvl]).data for lvl in fe.style_layers]
     acc = 0.0
     for g in grams:
         c = g.shape[0]
@@ -202,13 +186,7 @@ def _weight_from_grams(grams, fe):
     if acc <= 0.0:
         raise ValueError("style image has all-zero Gram matrices; "
                          "style weight is undefined")
-    return float(1.0 / acc)
-
-
-def build_style_target(style: Tensor, fe: FeatureExtractor,
-                       style_mask: np.ndarray | None = None) -> StyleTarget:
-    grams = _style_grams(style, fe, style_mask)
-    return StyleTarget(grams, _weight_from_grams(grams, fe))
+    return StyleTarget(grams, float(1.0 / acc))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +222,7 @@ def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
     for i, lvl in enumerate(fe.style_layers):
         f = x_feats[lvl]
         m = content_masks.masks[lvl] if content_masks is not None else None
-        g = gram(f, m)
+        g = masked_gram(f, m)
         tgt = Tensor(target.grams[i])
         if g.shape != tgt.shape:
             raise ValueError(f"style layer {lvl}: Gram {g.shape} vs "

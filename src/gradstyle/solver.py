@@ -9,8 +9,7 @@ against the network.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class DescentConfig:
     noise_bound: float = 0.1
     seed: int = 0
     projector: object | None = None  # callable on per-channel flat vectors
-    use_adam: bool = False
 
     def __post_init__(self):
         if self.iters < 0:
@@ -103,27 +101,16 @@ def _run(content: Tensor, target: StyleTarget, fe: FeatureExtractor,
             raise ValueError("projected descent needs cfg.projector")
         x_data = _project(x_data, cfg.projector)
     mu = cfg.mu if cfg.mu is not None else _pick_mu(
-        x_data, c_feats, target, fe, weights, cfg)
+        content, target, fe, cfg, project)
     x = Tensor(x_data)
     trajectory: list[TrajectoryRow] = []
     iterates = [x] if keep_iterates else []
-    adam_m = adam_v = None
     try:
         for t in range(cfg.iters):
             parts, g = _loss_and_grad(x, c_feats, target, fe, weights)
             trajectory.append(TrajectoryRow(t, parts.total, parts.content,
                                             parts.style, parts.tv))
-            if cfg.use_adam:
-                if adam_m is None:
-                    adam_m, adam_v = np.zeros_like(g), np.zeros_like(g)
-                adam_m = 0.9 * adam_m + 0.1 * g
-                adam_v = 0.999 * adam_v + 0.001 * g * g
-                mh = adam_m / (1.0 - 0.9 ** (t + 1))
-                vh = adam_v / (1.0 - 0.999 ** (t + 1))
-                step = mh / (np.sqrt(vh) + 1e-8)
-            else:
-                step = g
-            new_data = x.data - mu * step
+            new_data = x.data - mu * g
             if project:
                 new_data = _project(new_data, cfg.projector)
             x = Tensor(new_data)
@@ -140,28 +127,22 @@ def _run(content: Tensor, target: StyleTarget, fe: FeatureExtractor,
     return DescentResult(x, trajectory, mu, iterates)
 
 
-def _pick_mu(x0_data, c_feats, target, fe, weights, cfg) -> float:
+def _pick_mu(content, target, fe, cfg, project) -> float:
     """Smallest grid stepsize achieving the best loss after a probe run.
 
-    The probe mirrors the requested run (capped at 10 iterations) so a
-    stepsize that looks good for a couple of steps but then oscillates is
-    rejected.
+    The probe is the requested run (projected or not) capped at 10
+    iterations, so a stepsize that looks good for a couple of steps but then
+    oscillates is rejected.
     """
     probe_steps = min(max(cfg.iters, 1), 10)
     best_mu, best_loss = MU_GRID[0], np.inf
     for mu in MU_GRID:
-        x = Tensor(x0_data.copy())
         try:
-            for _ in range(probe_steps):
-                _, g = _loss_and_grad(x, c_feats, target, fe, weights)
-                nd = x.data - mu * g
-                if cfg.projector is not None:
-                    nd = _project(nd, cfg.projector)
-                x = Tensor(nd)
-            _, parts = total_loss(x, c_feats, target, fe, weights,
-                                  return_parts=True)
-            loss = parts.total
-        except NonFiniteError:
+            probe = _run(content, target, fe,
+                         replace(cfg, iters=probe_steps, mu=mu), project,
+                         keep_iterates=False)
+            loss = probe.trajectory[-1].total
+        except DivergenceError:
             loss = np.inf
         if loss < best_loss:
             best_mu, best_loss = mu, loss
@@ -182,12 +163,3 @@ def projected_grad_descent(content: Tensor, target: StyleTarget,
     """Projected variant: the init and every update pass through cfg.projector."""
     return _run(content, target, fe, cfg, project=True,
                 keep_iterates=keep_iterates)
-
-
-def write_trajectory_csv(rows: list[TrajectoryRow], path):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "total", "content", "style", "tv"])
-        for row in rows:
-            writer.writerow([row.iter, repr(row.total), repr(row.content),
-                             repr(row.style), repr(row.tv)])

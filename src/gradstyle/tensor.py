@@ -168,27 +168,19 @@ def backward(tape: GradTape, output: Tensor) -> dict:
 # weight initialization
 
 
-def _xavier_fans(shape):
-    if len(shape) == 4:
-        out_ch, in_ch, kh, kw = shape
-        return in_ch * kh * kw, out_ch * kh * kw
-    if len(shape) == 2:
-        return shape[1], shape[0]
-    raise ValueError(f"no fan convention for shape {shape}")
-
-
 def xavier_init_rng(rng, shape):
-    """Uniform draw on +/- sqrt(6 / (fan_in + fan_out)).
-
-    For 4-index conv weights the fans are channels * kernel area.
-    """
-    fan_in, fan_out = _xavier_fans(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    """Uniform draw on +/- sqrt(6 / (fan_in + fan_out)) for a conv kernel
+    (out_ch, in_ch, kh, kw); the fans are channels * kernel area."""
+    out_ch, in_ch, kh, kw = shape
+    bound = np.sqrt(6.0 / (in_ch * kh * kw + out_ch * kh * kw))
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_init(shape, seed) -> np.ndarray:
-    return xavier_init_rng(np.random.default_rng(seed), shape)
+def fresh_weights(rng):
+    """weight(shape) source for new layers: Xavier draws for conv kernels,
+    zeros for everything else (so only kernels consume the generator)."""
+    return lambda shape: (xavier_init_rng(rng, shape) if len(shape) == 4
+                          else np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -20,37 +20,33 @@ import numpy as np
 from . import imagecodec
 from .network import (
     CHANNELS,
-    NUM_STEPS,
     StyleParams,
     UnrolledModel,
-    descent_step,
+    layer_stacks,
+    unroll,
 )
 from .perceptual import (
-    DEFAULT_CHANNELS,
     FeatureExtractor,
     LossWeights,
     StyleTarget,
     build_style_target,
+    conv_stack,
     default_extractor,
     extract_features,
     total_loss,
 )
 from .solver import DivergenceError
-from .tensor import (
-    ConvLayer,
-    GradTape,
-    NonFiniteError,
-    Tensor,
-    backward,
-    xavier_init,
-    xavier_init_rng,
-)
+from .tensor import GradTape, NonFiniteError, Tensor, backward
 
 __all__ = [
     "AdamState", "TrainConfig", "TrainResult", "adam_step", "load_checkpoint",
     "load_content_set", "load_extractor", "save_checkpoint", "save_extractor",
-    "train", "write_training_log", "xavier_init", "xavier_init_rng",
+    "train", "write_training_log",
 ]
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -58,9 +54,6 @@ class AdamState:
     """First/second moment accumulators mirroring a parameter list."""
 
     params: list[Tensor]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -77,7 +70,7 @@ def adam_step(state: AdamState, grads: list[np.ndarray], lr: float):
         if not np.all(np.isfinite(g)):
             raise NonFiniteError("non-finite gradient; Adam step aborted")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for p, m, v, g in zip(state.params, state.m, state.v, grads):
@@ -85,7 +78,7 @@ def adam_step(state: AdamState, grads: list[np.ndarray], lr: float):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -97,7 +90,6 @@ class TrainConfig:
     lam_c: float = 0.025
     lam_tv: float = 0.5
     lr: float = 1e-5
-    batch_size: int = 1
     noise_bound: float = 0.1
     seed: int = 0
 
@@ -106,8 +98,6 @@ class TrainConfig:
             raise ValueError("epochs, lr and noise bound must be >= 0")
         if self.side <= 0 or self.side % 8:
             raise ValueError("side must be a positive multiple of 8")
-        if self.batch_size != 1:
-            raise ValueError("only batch size 1 is supported")
 
 
 def _resize_axis(n_in, n_out):
@@ -173,18 +163,11 @@ class TrainResult:
     val_names: list[str]
 
 
-def _forward_net(img: Tensor, model, style_i) -> Tensor:
-    x = img
-    for t in range(NUM_STEPS):
-        x = descent_step(x, t, model, style_i)
-    return x
-
-
 def _validation_row(epoch, model, val_imgs, val_feats, targets, fe, weights):
     acc = np.zeros(4)
     for i, img in enumerate(val_imgs):
         style_i = i % len(targets)
-        x4 = _forward_net(img, model, style_i)
+        x4 = unroll(img, model, style_i)
         _, parts = total_loss(x4, val_feats[i], targets[style_i], fe, weights,
                               return_parts=True)
         acc += (parts.total, parts.content, parts.style, parts.tv)
@@ -239,7 +222,7 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
                 amp = noise_rng.uniform(0.0, cfg.noise_bound)
                 noise = noise_rng.uniform(-amp, amp, size=img.data.shape)
                 with GradTape() as tape:
-                    x4 = _forward_net(Tensor(img.data + noise), model, style_i)
+                    x4 = unroll(Tensor(img.data + noise), model, style_i)
                     loss = total_loss(x4, train_feats[idx], targets[style_i],
                                       fe, weights)
                     grads = backward(tape, loss)
@@ -321,6 +304,16 @@ class _Reader:
         self.pos += size
         return arr
 
+    def take_weights(self, shape):
+        """The next 32-bit weight array of the payload, as float64."""
+        arr = self.take_array(int(np.prod(shape)), "<f4")
+        return arr.astype(np.float64).reshape(shape)
+
+    def check_end(self):
+        if self.pos != len(self.buf):
+            raise CheckpointError(
+                f"{len(self.buf) - self.pos} unexpected trailing bytes")
+
 
 def _read_header(reader, expect_section):
     magic = bytes(reader.take("<4s")[0])
@@ -338,18 +331,6 @@ def _read_header(reader, expect_section):
     return channels, n_styles, extractor_seed, style_mask, content_mask
 
 
-def _model_weight_arrays(model: UnrolledModel):
-    arrays = []
-    for layer in model.fwd + model.bwd:
-        arrays.append(layer.kernel.data)
-        arrays.append(layer.bias.data)
-    for style in model.styles:
-        for t in range(NUM_STEPS):
-            for l in range(len(CHANNELS)):
-                arrays.append(style.h[t][l].data)
-    return arrays
-
-
 def save_checkpoint(model: UnrolledModel, path):
     """Serialize all weights (32-bit) and per-style metadata."""
     buf = _pack_header(SECTION_MODEL, CHANNELS, model.n_styles,
@@ -362,8 +343,8 @@ def save_checkpoint(model: UnrolledModel, path):
         for g in grams:
             buf += struct.pack("<I", g.shape[0])
             buf += np.ascontiguousarray(g, dtype="<f8").tobytes()
-    for arr in _model_weight_arrays(model):
-        buf += arr.astype("<f4").tobytes()
+    for p in model.parameters():        # the payload order of layer_stacks
+        buf += p.data.astype("<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
 
@@ -385,28 +366,10 @@ def load_checkpoint(path) -> UnrolledModel:
             grams.append(reader.take_array(side * side, "<f8")
                          .astype(np.float64).reshape(side, side))
         all_grams.append(grams)
-
-    def take_weights(shape):
-        arr = reader.take_array(int(np.prod(shape)), "<f4")
-        return Tensor(arr.astype(np.float64).reshape(shape))
-
-    fwd, bwd = [], []
-    in_ch = 3
-    for out_ch in CHANNELS:
-        fwd.append(ConvLayer(take_weights((out_ch, in_ch, 3, 3)),
-                             take_weights((out_ch,)), relu=True))
-        in_ch = out_ch
-    rev = (3,) + CHANNELS[:-1]
-    for i in range(len(CHANNELS) - 1, -1, -1):
-        bwd.append(ConvLayer(take_weights((rev[i], CHANNELS[i], 3, 3)),
-                             take_weights((rev[i],)), relu=i > 0))
-    styles = []
-    for s in range(n_styles):
-        h = [[take_weights((c, c)) for c in CHANNELS] for _ in range(NUM_STEPS)]
-        styles.append(StyleParams(h, lam_s[s], all_grams[s] or None))
-    if reader.pos != len(reader.buf):
-        raise CheckpointError(
-            f"{len(reader.buf) - reader.pos} unexpected trailing bytes")
+    fwd, bwd, hs = layer_stacks(reader.take_weights, n_styles)
+    reader.check_end()
+    styles = [StyleParams(h, lam, grams or None)
+              for h, lam, grams in zip(hs, lam_s, all_grams)]
     return UnrolledModel(fwd, bwd, styles, extractor_seed=extractor_seed)
 
 
@@ -429,18 +392,8 @@ def load_extractor(path) -> FeatureExtractor:
         reader = _Reader(fh.read())
     channels, _, seed, style_mask, content_mask = _read_header(
         reader, SECTION_EXTRACTOR)
-    layers = []
-    in_ch = 3
-    for out_ch in channels:
-        kernel = reader.take_array(out_ch * in_ch * 9, "<f4")
-        bias = reader.take_array(out_ch, "<f4")
-        layers.append(ConvLayer(
-            Tensor(kernel.astype(np.float64).reshape(out_ch, in_ch, 3, 3)),
-            Tensor(bias.astype(np.float64)), relu=True))
-        in_ch = out_ch
-    if reader.pos != len(reader.buf):
-        raise CheckpointError(
-            f"{len(reader.buf) - reader.pos} unexpected trailing bytes")
+    layers = conv_stack(channels, reader.take_weights)
+    reader.check_end()
     unmask = lambda m: tuple(l for l in range(len(channels)) if m >> l & 1)
     return FeatureExtractor(layers, unmask(style_mask), unmask(content_mask),
                             seed=seed)

@@ -132,6 +132,16 @@ class TestStylizeCommand:
                        (tmp_path / "p2.ppm.manifest").read_text().strip().splitlines())
         assert entries["alpha"] == "0.7"
 
+    def test_photoreal_with_odd_deepest_level(self, workspace, tmp_path):
+        # 100 pads to 104, whose 1/8 level is 13 pixels wide
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, smooth_image(np.random.default_rng(14), 100))
+        out = tmp_path / "o.ppm"
+        assert main(["stylize", "--model", str(workspace["ckpt"]),
+                     "--input", str(inp), "--output", str(out),
+                     "--photoreal"]) == 0
+        assert read_image(out).shape == (3, 100, 100)
+
     def test_style_id_out_of_range_exits_2(self, workspace, tmp_path):
         inp = tmp_path / "in.ppm"
         write_ppm(inp, smooth_image(np.random.default_rng(9), 16))
@@ -232,3 +242,34 @@ class TestInspectCommand:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+_STYLIZE = ["stylize", "--model", "m.ckpt", "--input", "in.ppm",
+            "--output", "out.ppm"]
+_TRAIN = ["train", "--contents", "dir", "--style", "s.ppm", "--out", "m.ckpt"]
+_COMPARE = ["compare", "--model", "m.ckpt", "--input", "in.ppm"]
+
+
+@pytest.mark.parametrize("argv", [
+    _STYLIZE + ["--cheb-order", "0"],
+    _STYLIZE + ["--lambda-star-frac", "1.5"],
+    _STYLIZE + ["--lambda-star-frac", "0"],
+    _STYLIZE + ["--gf-radius", "0"],
+    _STYLIZE + ["--gf-eps", "0"],
+    _STYLIZE + ["--matting-eps", "-1"],
+    _STYLIZE + ["--matting-eps", "inf"],
+    _STYLIZE + ["--alpha", "-1"],
+    _STYLIZE + ["--alpha", "nan"],
+    _STYLIZE + ["--alpha", "inf"],
+    _TRAIN + ["--epochs", "-1"],
+    _TRAIN + ["--size", "12"],
+    _TRAIN + ["--size", "0"],
+    _COMPARE + ["--iters", "-1"],
+    _COMPARE + ["--iters", "1", "--mu", "0"],
+    _COMPARE + ["--iters", "1", "--mu", "nan"],
+], ids=lambda argv: " ".join([argv[0]] + argv[-2:]))
+def test_invalid_flag_values_exit_2(argv):
+    # rejected while parsing, before any file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

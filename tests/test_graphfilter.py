@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from gradstyle.graphfilter import (
@@ -9,7 +10,6 @@ from gradstyle.graphfilter import (
     build_pyramid,
     estimate_lambda_max,
     exact_projector,
-    export_triplets,
     jackson_cheb_coeffs,
     matting_laplacian,
 )
@@ -57,15 +57,18 @@ class TestMattingLaplacian:
             matting_laplacian(np.full((3, 4, 4), 1.5))
 
 
+def estimate_of(mat, height, width):
+    return estimate_lambda_max(SparseLaplacian(sp.csr_matrix(mat), height, width))
+
+
 class TestLambdaMax:
     def test_two_node_path(self):
-        lap = SparseLaplacian.from_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                                          1, 2)
-        assert lap.lambda_max == pytest.approx(2.0 * 1.01, rel=1e-3)
+        est = estimate_of(np.array([[1.0, -1.0], [-1.0, 1.0]]), 1, 2)
+        assert est.value == pytest.approx(2.0 * 1.01, rel=1e-3)
 
     def test_diagonal(self):
-        lap = SparseLaplacian.from_matrix(np.diag([2.0, 1.0]), 1, 2)
-        assert lap.lambda_max == pytest.approx(2.0 * 1.01, rel=1e-3)
+        est = estimate_of(np.diag([2.0, 1.0]), 1, 2)
+        assert est.value == pytest.approx(2.0 * 1.01, rel=1e-3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_within_two_percent_of_dense(self, seed):
@@ -74,9 +77,9 @@ class TestLambdaMax:
         assert abs(lap.lambda_max - true) <= 0.02 * true
 
     def test_zero_matrix_degenerate(self):
-        lap = SparseLaplacian.from_matrix(np.zeros((4, 4)), 2, 2)
-        assert lap.lambda_max == 0.0
-        assert lap.degenerate
+        est = estimate_of(np.zeros((4, 4)), 2, 2)
+        assert est.value == 0.0
+        assert est.degenerate
 
 
 class TestChebCoeffs:
@@ -239,6 +242,13 @@ class TestPyramid:
             assert np.max(np.abs(out - ref)) <= 1e-8
         assert pyr.filters[3] is None and pyr.laplacians[3].degenerate
 
+    @pytest.mark.parametrize("side", [24, 40])
+    def test_odd_deepest_level_builds(self, side):
+        # side / 8 is odd: the deepest level must not be halved once more
+        pyr = build_pyramid(np.random.default_rng(side).uniform(0, 1, (3, side, side)))
+        assert [(lap.height, lap.width) for lap in pyr.laplacians] == [
+            (side >> lvl, side >> lvl) for lvl in range(4)]
+
     def test_resolution_mismatch_rejected(self):
         pyr = build_pyramid(np.full((3, 16, 16), 0.5))
         with pytest.raises(ValueError, match="expects"):
@@ -248,13 +258,3 @@ class TestPyramid:
         with pytest.raises(ValueError, match="multiples of 8"):
             build_pyramid(np.full((3, 12, 12), 0.5))
 
-
-def test_export_triplets_roundtrip(tmp_path):
-    lap = matting_laplacian(random_rgb(0, 4, 4))
-    path = tmp_path / "lap.txt"
-    export_triplets(lap, path)
-    rebuilt = np.zeros((lap.n, lap.n))
-    for line in path.read_text().splitlines():
-        i, j, v = line.split()
-        rebuilt[int(i), int(j)] += float(v)
-    np.testing.assert_array_equal(rebuilt, lap.mat.toarray())

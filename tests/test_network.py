@@ -6,8 +6,10 @@ import pytest
 
 import oracles
 from gradstyle.graphfilter import build_pyramid, exact_projector
+from gradstyle.guided import GuidedFilterParams
 from gradstyle.network import (
     CHANNELS,
+    NUM_STEPS,
     IdentityHooks,
     InferenceOptions,
     backward_map,
@@ -18,6 +20,7 @@ from gradstyle.network import (
     param_count,
     style_correction,
     stylize,
+    unroll,
 )
 from gradstyle.tensor import (
     GradTape,
@@ -188,6 +191,19 @@ class TestDescentStep:
         with pytest.raises(ValueError, match="style id"):
             descent_step(x, 0, seeded_model(), style_id=1)
 
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            InferenceOptions(alpha=alpha)
+
+    def test_unroll_is_every_descent_step_in_order(self, rng):
+        model = seeded_model(5)
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        expected = x
+        for t in range(NUM_STEPS):
+            expected = descent_step(expected, t, model)
+        np.testing.assert_array_equal(unroll(x, model).data, expected.data)
+
 
 class TestParamCount:
     def test_canonical_counts(self):
@@ -261,7 +277,7 @@ class TestStylize:
     def test_guided_toggle_runs(self, rng):
         x = Tensor(rng.uniform(0.1, 0.9, (3, 16, 16)))
         out = stylize(x, seeded_model(16), 0,
-                      InferenceOptions(guided=True, gf_radius=2))
+                      InferenceOptions(guided=GuidedFilterParams(radius=2)))
         assert out.shape == x.shape
 
 

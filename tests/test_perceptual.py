@@ -14,14 +14,11 @@ from gradstyle.perceptual import (
     content_loss,
     default_extractor,
     extract_features,
-    gram,
-    propagate_mask,
     style_loss,
-    style_weight_auto,
     total_loss,
     tv_loss,
 )
-from gradstyle.tensor import ConvLayer, GradTape, Tensor, backward
+from gradstyle.tensor import ConvLayer, GradTape, Tensor, backward, masked_gram
 from gradstyle.perceptual import FeatureExtractor
 
 
@@ -58,27 +55,27 @@ class TestExtractFeatures:
 class TestGram:
     def test_two_pixel_example(self):
         f = Tensor(np.array([[[1.0, 1.0]], [[0.0, 0.0]]]))  # 2 ch, 1x2
-        np.testing.assert_allclose(gram(f).data, [[1.0, 0.0], [0.0, 0.0]],
+        np.testing.assert_allclose(masked_gram(f).data, [[1.0, 0.0], [0.0, 0.0]],
                                    atol=1e-15)
 
     def test_all_ones_mask_equals_unmasked(self, rng):
         f = random_image(rng, (3, 2, 3))
-        np.testing.assert_array_equal(gram(f, np.ones(6)).data, gram(f).data)
+        np.testing.assert_array_equal(masked_gram(f, np.ones(6)).data, masked_gram(f).data)
 
     def test_matches_dense_oracle(self, rng):
         f = Tensor(rng.standard_normal((3, 2, 3)))
         mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
         ref = oracles.gram_reference(f.data, mask)
-        np.testing.assert_allclose(gram(f, mask).data, ref, atol=1e-12)
+        np.testing.assert_allclose(masked_gram(f, mask).data, ref, atol=1e-12)
 
     def test_empty_mask_rejected(self, rng):
         with pytest.raises(ValueError, match="empty"):
-            gram(random_image(rng, (2, 2, 2)), np.zeros(4))
+            masked_gram(random_image(rng, (2, 2, 2)), np.zeros(4))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_symmetric_psd(self, seed):
         rng = np.random.default_rng(seed)
-        g = gram(Tensor(rng.standard_normal((4, 3, 3)))).data
+        g = masked_gram(Tensor(rng.standard_normal((4, 3, 3)))).data
         np.testing.assert_array_equal(g, g.T)
         assert np.linalg.eigvalsh(g).min() >= -1e-10
 
@@ -118,7 +115,7 @@ class TestStyleLoss:
         fe = make_small_extractor()
         x = random_image(rng)
         feats = extract_features(x, fe)
-        target = StyleTarget([gram(feats[l]).data for l in fe.style_layers],
+        target = StyleTarget([masked_gram(feats[l]).data for l in fe.style_layers],
                              lam_s=1.0)
         assert style_loss(feats, target, fe).item() == 0.0
 
@@ -170,7 +167,7 @@ class TestTotalLoss:
         fe = make_small_extractor()
         x = random_image(rng)
         feats = extract_features(x, fe)
-        target = StyleTarget([gram(feats[l]).data for l in fe.style_layers], 1.0)
+        target = StyleTarget([masked_gram(feats[l]).data for l in fe.style_layers], 1.0)
         c_feats = extract_features(random_image(rng), fe)
         loss = total_loss(x, c_feats, target, fe, LossWeights(0.0, 0.0))
         assert loss.item() == 0.0
@@ -227,13 +224,13 @@ class TestStyleWeightAuto:
                           relu=True)
         fe = FeatureExtractor([layer], (0,), (0,), seed=0)
         style = Tensor(np.zeros((3, 1, 2)))
-        assert style_weight_auto(style, fe) == pytest.approx(1.0, rel=1e-14)
+        assert build_style_target(style, fe).lam_s == pytest.approx(1.0, rel=1e-14)
 
     def test_homogeneity_degree_minus_four(self, rng):
         fe = make_small_extractor()  # zero biases: positively homogeneous
         style = Tensor(rng.uniform(0.05, 0.45, (3, 8, 8)))
-        lam1 = style_weight_auto(style, fe)
-        lam2 = style_weight_auto(Tensor(2.0 * style.data), fe)
+        lam1 = build_style_target(style, fe).lam_s
+        lam2 = build_style_target(Tensor(2.0 * style.data), fe).lam_s
         assert lam2 == pytest.approx(lam1 / 16.0, rel=1e-12)
 
     def test_matches_direct_formula(self, rng):
@@ -245,30 +242,30 @@ class TestStyleWeightAuto:
             g = oracles.gram_reference(feats[lvl].data)
             acc += np.sum(g * g) / feats[lvl].channels ** 2
         expected = 1.0 / (acc / len(fe.style_layers))
-        assert style_weight_auto(style, fe) == pytest.approx(expected, rel=1e-10)
+        assert build_style_target(style, fe).lam_s == pytest.approx(expected, rel=1e-10)
 
     def test_zero_style_rejected(self):
         fe = make_small_extractor()
         with pytest.raises(ValueError, match="undefined"):
-            style_weight_auto(Tensor(np.zeros((3, 8, 8))), fe)
+            build_style_target(Tensor(np.zeros((3, 8, 8))), fe)
 
 
 class TestMaskPyramid:
     def test_all_ones_identity_everywhere(self):
         fe = default_extractor(0)
-        pyr = propagate_mask(np.ones((32, 32)), fe)
+        pyr = build_mask_pyramid(np.ones((32, 32)), fe.depth)
         sides = (32, 16, 8, 4, 2)
         for mask, side in zip(pyr.masks, sides):
             np.testing.assert_array_equal(mask, np.ones(side * side))
 
     def test_all_zeros_degenerate(self):
         with pytest.raises(DegenerateMaskError):
-            propagate_mask(np.zeros((32, 32)), default_extractor(0))
+            build_mask_pyramid(np.zeros((32, 32)), default_extractor(0).depth)
 
     def test_left_half_survives_at_all_levels(self):
         mask = np.zeros((32, 32))
         mask[:, :16] = 1.0
-        pyr = propagate_mask(mask, default_extractor(0))
+        pyr = build_mask_pyramid(mask, default_extractor(0).depth)
         for lvl, m in enumerate(pyr.masks):
             side = 32 >> lvl
             expected = np.zeros((side, side))
@@ -304,7 +301,7 @@ class TestMaskPyramid:
        st.integers(1, 5))
 def test_gram_is_always_symmetric_psd(seed, c, h, w):
     rng = np.random.default_rng(seed)
-    g = gram(Tensor(rng.standard_normal((c, h, w)))).data
+    g = masked_gram(Tensor(rng.standard_normal((c, h, w)))).data
     assert np.array_equal(g, g.T)
     assert np.linalg.eigvalsh(g).min() >= -1e-10
 
@@ -316,7 +313,7 @@ def test_all_ones_mask_never_changes_gram(seed):
     shape = (rng.integers(1, 6), rng.integers(1, 5), rng.integers(1, 5))
     f = Tensor(rng.standard_normal(shape))
     ones = np.ones(shape[1] * shape[2])
-    assert np.array_equal(gram(f, ones).data, gram(f).data)
+    assert np.array_equal(masked_gram(f, ones).data, masked_gram(f).data)
 
 
 class TestStyleTarget:

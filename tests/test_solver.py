@@ -7,7 +7,6 @@ from gradstyle.perceptual import (
     LossWeights,
     build_style_target,
     extract_features,
-    gram,
     total_loss,
 )
 from gradstyle.perceptual import StyleTarget
@@ -17,9 +16,8 @@ from gradstyle.solver import (
     DivergenceError,
     grad_descent_stylize,
     projected_grad_descent,
-    write_trajectory_csv,
 )
-from gradstyle.tensor import ConvLayer, Tensor
+from gradstyle.tensor import ConvLayer, Tensor, masked_gram
 from gradstyle.perceptual import FeatureExtractor
 
 
@@ -49,7 +47,7 @@ class TestPlainDescent:
         # the init is a global minimum, so iterates never move
         content = random_image(rng)
         feats = extract_features(content, fe)
-        target = StyleTarget([gram(feats[l]).data for l in fe.style_layers],
+        target = StyleTarget([masked_gram(feats[l]).data for l in fe.style_layers],
                              lam_s=1.0)
         cfg = DescentConfig(iters=5, mu=1.0, lam_tv=0.0)
         res = grad_descent_stylize(content, target, fe, cfg)
@@ -121,13 +119,6 @@ class TestPlainDescent:
             grad_descent_stylize(content, target, fe_bad,
                                  DescentConfig(iters=2, mu=1.0))
 
-    def test_adam_mode_runs(self, problem, fe):
-        content, target = problem
-        cfg = DescentConfig(iters=4, mu=0.01, use_adam=True)
-        res = grad_descent_stylize(content, target, fe, cfg)
-        assert len(res.trajectory) == 5
-        assert np.all(np.isfinite(res.image.data))
-
 
 class TestProjectedDescent:
     def _projector(self, content, frac=0.2):
@@ -182,6 +173,19 @@ class TestProjectedDescent:
                 r = v - projector(v)
                 assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(v)
 
+    def test_unused_projector_leaves_mu_probe_alone(self, fe):
+        # plain descent ignores cfg.projector, and so must its stepsize
+        # probe: projecting there once picked 1.0 instead of 0.1 for this case
+        rng = np.random.default_rng(0)
+        content = smooth_image(rng, 16)
+        target = build_style_target(smooth_image(rng, 16), fe)
+        lap = matting_laplacian(content.data)
+        projector = exact_projector(lap, 0.05 * lap.lambda_max)
+        plain = grad_descent_stylize(content, target, fe, DescentConfig(iters=10))
+        unused = grad_descent_stylize(
+            content, target, fe, DescentConfig(iters=10, projector=projector))
+        assert unused.mu == plain.mu
+
     def test_missing_projector_rejected(self, problem, fe):
         content, target = problem
         with pytest.raises(ValueError, match="projector"):
@@ -197,18 +201,3 @@ class TestConfigValidation:
             DescentConfig(iters=1, mu=0.0)
         with pytest.raises(ValueError):
             DescentConfig(iters=1, init="bogus")
-
-
-def test_trajectory_csv_roundtrip(tmp_path, problem, fe):
-    content, target = problem
-    res = grad_descent_stylize(content, target, fe,
-                               DescentConfig(iters=3, mu=0.5))
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(res.trajectory, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iter,total,content,style,tv"
-    assert len(lines) == 5
-    for line, row in zip(lines[1:], res.trajectory):
-        it, total, *_ = line.split(",")
-        assert int(it) == row.iter
-        assert float(total) == row.total

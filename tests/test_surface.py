@@ -1,0 +1,61 @@
+"""The library surface that the benchmark tools and the README rely on.
+
+perfbench/ is not part of this suite, so a rename there would otherwise only
+show up when the benchmark runs.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACED = _load(ROOT / "perfbench" / "tracer.py").TRACED
+
+
+@pytest.mark.parametrize("name", [f"{mod}.{fn}" for mod, fns in TRACED.items()
+                                  for fn in fns])
+def test_traced_names_are_functions_of_their_module(name):
+    # the tracer rebinds these by identity in every gradstyle namespace, so
+    # each must be a plain function defined in the module it names
+    mod, fn = name.split(".")
+    obj = getattr(importlib.import_module(f"gradstyle.{mod}"), fn)
+    assert inspect.isfunction(obj) and obj.__module__ == f"gradstyle.{mod}"
+
+
+def _run_imports(nodes, filename):
+    exec(compile(ast.Module(body=nodes, type_ignores=[]), filename, "exec"), {})
+
+
+def test_readme_library_imports_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        _run_imports([node for node in ast.parse(block).body
+                      if isinstance(node, (ast.Import, ast.ImportFrom))],
+                     "README.md")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "perfbench").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_perfbench_gradstyle_imports_resolve(path):
+    # the `from gradstyle... import` statements, at any depth
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    _run_imports([node for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "gradstyle"],
+                 str(path))
