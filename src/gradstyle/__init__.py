@@ -7,7 +7,7 @@ without retraining.
 """
 
 from .graphfilter import build_pyramid
-from .network import InferenceOptions, init_model, mirror_pad, stylize
+from .network import InferenceOptions, init_model, stylize
 from .tensor import Tensor
 
 __version__ = "0.1.0"

@@ -22,12 +22,10 @@ from .network import (
     NUM_STEPS,
     InferenceOptions,
     init_model,
-    mirror_pad,
     param_count,
     stylize,
     unroll,
 )
-from .tensor import Tensor
 from .perceptual import (
     LossWeights,
     StyleTarget,
@@ -36,7 +34,9 @@ from .perceptual import (
     total_loss,
 )
 from .solver import DescentConfig, DivergenceError, grad_descent_stylize
+from .tensor import NonFiniteError, Tensor, mirror_pad
 from .training import (
+    TRAIN_SIDE_MULTIPLE,
     CheckpointError,
     TrainConfig,
     load_checkpoint,
@@ -63,7 +63,8 @@ def _checked(convert, ok, rule):
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
 _COUNT = _checked(int, lambda v: v >= 0, ">= 0")
-_SIDE = _checked(int, lambda v: v > 0 and v % 8 == 0, "a positive multiple of 8")
+_SIDE = _checked(int, lambda v: v > 0 and v % TRAIN_SIDE_MULTIPLE == 0,
+                 f"a positive multiple of {TRAIN_SIDE_MULTIPLE}")
 _FRACTION = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
                      "finite and > 0")
@@ -152,14 +153,10 @@ def _cmd_train(args) -> int:
         raise StyleIdError("--style-mask count must match --style count")
     styles = []
     for i, style_path in enumerate(args.style):
-        # style images (and their masks) are mirror-padded so the extractor's
-        # full pyramid fits regardless of the source size
-        style_img = read_image(style_path)
-        padded = mirror_pad(style_img.data, 16)
         mask = None
         if masks and masks[i].lower() != "none":
-            mask = mirror_pad(_read_mask(masks[i], soft=False)[None], 16)[0]
-        styles.append((Tensor(padded), mask))
+            mask = _read_mask(masks[i], soft=False)
+        styles.append((read_image(style_path), mask))
     cfg = TrainConfig(epochs=args.epochs, side=args.size, seed=args.seed)
     model = init_model(seed=args.seed, n_styles=len(styles))
     try:
@@ -170,10 +167,11 @@ def _cmd_train(args) -> int:
         return EXIT_DIVERGED
     save_checkpoint(result.model, args.out)
     write_training_log(f"{args.out}.log.csv", result.rows)
+    weights = LossWeights()
     manifest = {
         "command": "train", "contents": args.contents, "out": args.out,
         "epochs": cfg.epochs, "size": cfg.side, "seed": cfg.seed,
-        "lam_c": cfg.lam_c, "lam_tv": cfg.lam_tv, "lr": cfg.lr,
+        "lam_c": weights.lam_c, "lam_tv": weights.lam_tv, "lr": cfg.lr,
         "noise_bound": cfg.noise_bound, "extractor_seed": model.extractor_seed,
         "n_styles": len(styles),
     }
@@ -194,8 +192,7 @@ def _cmd_stylize(args) -> int:
     hooks = None
     lam_info = {}
     if args.photoreal:
-        padded = Tensor(mirror_pad(content.data, 8))
-        hooks = build_pyramid(padded, epsilon=args.matting_eps,
+        hooks = build_pyramid(content, epsilon=args.matting_eps,
                               order=args.cheb_order,
                               lambda_frac=args.lambda_star_frac)
         for lvl, filt in enumerate(hooks.filters):
@@ -244,7 +241,7 @@ def _cmd_compare(args) -> int:
     fe = default_extractor(model.extractor_seed)
     content = read_image(args.input)
     # both paths run on the same mirror-padded image so losses are comparable
-    padded = Tensor(mirror_pad(content.data, 2 ** (fe.depth - 1)))
+    padded = Tensor(mirror_pad(content.data, fe.multiple))
     cfg = DescentConfig(iters=args.iters, mu=args.mu, init=args.init,
                         seed=args.seed)
     result = grad_descent_stylize(padded, target, fe, cfg)
@@ -253,18 +250,16 @@ def _cmd_compare(args) -> int:
     _, net_parts = total_loss(unroll(padded, model, style_id), c_feats, target,
                               fe, LossWeights(), return_parts=True)
 
-    rows = [("gd", r.iter, r.total, r.content, r.style, r.tv)
-            for r in result.trajectory]
-    rows.append(("network", NUM_STEPS, net_parts.total, net_parts.content,
-                 net_parts.style, net_parts.tv))
+    rows = [("gd", i, parts) for i, parts in enumerate(result.trajectory)]
+    rows.append(("network", NUM_STEPS, net_parts))
     out_fh = open(args.out, "w", newline="", encoding="ascii") if args.out \
         else sys.stdout
     try:
         writer = csv.writer(out_fh)
         writer.writerow(["method", "iter", "total", "content", "style", "tv"])
-        for method, it, total, lc, ls, ltv in rows:
-            writer.writerow([method, it, repr(total), repr(lc), repr(ls),
-                             repr(ltv)])
+        for method, it, p in rows:
+            writer.writerow([method, it, repr(p.total), repr(p.content),
+                             repr(p.style), repr(p.tv)])
     finally:
         if args.out:
             out_fh.close()
@@ -307,12 +302,13 @@ def main(argv=None) -> int:
     except StyleIdError as err:
         print(f"gradstyle: {err}", file=sys.stderr)
         return EXIT_USAGE
+    # a NonFiniteError is a ValueError, so it must be caught first
+    except (DivergenceError, NonFiniteError) as err:
+        print(f"gradstyle: {err}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (OSError, CodecError, CheckpointError, ValueError) as err:
         print(f"gradstyle: {err}", file=sys.stderr)
         return EXIT_IO
-    except DivergenceError as err:
-        print(f"gradstyle: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

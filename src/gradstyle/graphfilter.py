@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor
+from .network import CHANNELS, SIDE_MULTIPLE
+from .tensor import Tensor, block_mean2, mirror_pad
 
 DEFAULT_MATTING_EPS = 1e-5
 DEFAULT_ORDER = 5
@@ -251,11 +252,6 @@ def exact_projector(lap: SparseLaplacian, lambda_star: float,
 # multiscale pyramid
 
 
-def _block_mean2(img):
-    c, h, w = img.shape
-    return img.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
-
-
 @dataclass
 class LaplacianPyramid:
     """Laplacian + filter per backward-map scale (full, 1/2, 1/4, 1/8).
@@ -266,10 +262,6 @@ class LaplacianPyramid:
 
     laplacians: list[SparseLaplacian]
     filters: list[ChebFilter]
-
-    @property
-    def levels(self):
-        return len(self.laplacians)
 
     def filter_map(self, level: int, arr: np.ndarray) -> np.ndarray:
         lap = self.laplacians[level]
@@ -288,21 +280,21 @@ class LaplacianPyramid:
 def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
                   order: int = DEFAULT_ORDER,
                   lambda_frac: float = DEFAULT_LAMBDA_FRAC) -> LaplacianPyramid:
-    """Laplacians of the content image downsampled to the four network scales.
+    """Laplacians of the content image downsampled to the network's scales.
 
-    Each level gets its own largest-eigenvalue estimate and a low-pass filter
-    with threshold lambda_frac * lambda_max. A level too small to hold a 3x3
+    The content is mirror-padded to multiples of SIDE_MULTIPLE first, as
+    stylize pads it, so each level matches a backward-map scale. Each level
+    gets its own largest-eigenvalue estimate and a low-pass filter with
+    threshold lambda_frac * lambda_max. A level too small to hold a 3x3
     window (or with an all-zero Laplacian) has an empty spectrum above any
     threshold, so its exact low-pass is the identity and no filter is built.
     """
     data = content.data if isinstance(content, Tensor) else np.asarray(content, dtype=np.float64)
-    if data.shape[1] % 8 or data.shape[2] % 8:
-        raise ValueError("content dims must be multiples of 8")
     laps, filts = [], []
-    img = data
-    for level in range(4):
+    img = mirror_pad(data, SIDE_MULTIPLE)
+    for level in range(len(CHANNELS)):
         if level:
-            img = np.clip(_block_mean2(img), 0.0, 1.0)
+            img = np.clip(block_mean2(img), 0.0, 1.0)
         _, h, w = img.shape
         if h < 3 or w < 3:
             lap = SparseLaplacian(sp.csr_matrix((h * w, h * w)), h, w,

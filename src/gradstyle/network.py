@@ -28,11 +28,14 @@ from .tensor import (
     fresh_weights,
     lincomb,
     masked_gram,
+    mirror_pad,
     relu,
+    side_multiple,
 )
 
 CHANNELS = (16, 32, 64, 128)
 NUM_STEPS = 4
+SIDE_MULTIPLE = side_multiple(len(CHANNELS))
 
 
 @dataclass
@@ -156,9 +159,9 @@ class IdentityHooks:
 
 def forward_maps(x: Tensor, model: UnrolledModel) -> list[Tensor]:
     """Features at the four levels: (16,h,w), (32,h/2,w/2), (64,h/4,w/4), (128,h/8,w/8)."""
-    if x.height % 8 or x.width % 8:
-        raise ValueError(f"spatial dims must be multiples of 8, got "
-                         f"{x.height}x{x.width}")
+    if x.height % SIDE_MULTIPLE or x.width % SIDE_MULTIPLE:
+        raise ValueError(f"spatial dims must be multiples of {SIDE_MULTIPLE}, "
+                         f"got {x.height}x{x.width}")
     return conv_pyramid(x, model.fwd)
 
 
@@ -238,30 +241,12 @@ def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
     return x
 
 
-def mirror_pad(data: np.ndarray, multiple: int) -> np.ndarray:
-    """Mirror-pad the bottom/right of a (c, h, w) array up to multiples of
-    `multiple`.
-
-    The padding reflects about the last row/column without repeating it, so
-    each side needs more pixels than it gains; smaller inputs are rejected.
-    """
-    c, h, w = data.shape
-    nh, nw = -(-h // multiple) * multiple, -(-w // multiple) * multiple
-    if (nh, nw) == (h, w):
-        return data
-    if nh - h > h - 1 or nw - w > w - 1:
-        raise ValueError(f"image {h}x{w} too small to mirror-pad to "
-                         f"{nh}x{nw}")
-    ri = np.concatenate([np.arange(h), 2 * (h - 1) - np.arange(h, nh)])
-    ci = np.concatenate([np.arange(w), 2 * (w - 1) - np.arange(w, nw)])
-    return data[:, ri[:, None], ci[None, :]]
-
-
 def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
             opts: InferenceOptions | None = None) -> Tensor:
     """Run the four unrolled steps from the content image and clip to [0, 1].
 
-    Odd sizes are mirror-padded to multiples of 8 and cropped back. An
+    The image is mirror-padded to multiples of SIDE_MULTIPLE and cropped
+    back, as build_pyramid pads it, so filter hooks match every level. An
     optional blend mask recombines the stylized result with the input; an
     optional guided filter sharpens the result against the content.
     """
@@ -270,14 +255,14 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
     if data.min() < 0.0 or data.max() > 1.0:
         raise ValueError("content pixels must lie in [0, 1]")
     h, w = content.height, content.width
-    padded = mirror_pad(data, 8)
+    padded = mirror_pad(data, SIDE_MULTIPLE)
     content_masks = None
     if opts.content_mask is not None:
         mask = np.asarray(opts.content_mask, dtype=np.float64)
         if mask.shape != (h, w):
             raise ValueError(f"content mask shape {mask.shape} != image {h}x{w}")
-        mask3 = mirror_pad(mask[None], 8)[0]
-        content_masks = build_mask_pyramid(mask3, len(CHANNELS))
+        content_masks = build_mask_pyramid(mirror_pad(mask, SIDE_MULTIPLE),
+                                           len(CHANNELS))
     x = unroll(Tensor(padded), model, style_id, opts, content_masks)
     out = clip_unit(x).data[:, :h, :w]
     if opts.blend_mask is not None:

@@ -17,11 +17,14 @@ from .tensor import (
     ConvLayer,
     Tensor,
     avg_pool2,
+    block_mean2,
     clip_unit,
     conv2d_reflect,
     fresh_weights,
     lincomb,
     masked_gram,
+    mirror_pad,
+    side_multiple,
     sqsum,
     tv,
 )
@@ -55,6 +58,11 @@ class FeatureExtractor:
     @property
     def depth(self):
         return len(self.layers)
+
+    @property
+    def multiple(self):
+        """Sides every input must be a multiple of."""
+        return side_multiple(self.depth)
 
     @property
     def channel_counts(self):
@@ -96,10 +104,9 @@ def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:
     """One feature map per level; deterministic for fixed weights."""
     if x.channels != 3:
         raise ValueError(f"expected a 3-channel image, got {x.channels}")
-    div = 2 ** (fe.depth - 1)
-    if x.height % div or x.width % div:
-        raise ValueError(
-            f"spatial dims {x.height}x{x.width} not divisible by {div}")
+    if x.height % fe.multiple or x.width % fe.multiple:
+        raise ValueError(f"spatial dims {x.height}x{x.width} not divisible "
+                         f"by {fe.multiple}")
     return conv_pyramid(x, fe.layers)
 
 
@@ -117,10 +124,6 @@ class MaskPyramid:
     def __post_init__(self):
         if not self.traces:
             self.traces = [float(m.sum()) for m in self.masks]
-
-    @property
-    def levels(self):
-        return len(self.masks)
 
 
 def build_mask_pyramid(mask: np.ndarray, levels: int) -> MaskPyramid:
@@ -142,7 +145,7 @@ def build_mask_pyramid(mask: np.ndarray, levels: int) -> MaskPyramid:
             h, w = cur.shape
             if h % 2 or w % 2:
                 raise ValueError("mask dims must halve cleanly at every level")
-            cur = cur.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+            cur = block_mean2(cur)
         binary = (cur >= 0.5).astype(np.float64)
         if binary.sum() <= 0:
             raise DegenerateMaskError(f"mask is empty at pyramid level {lvl}")
@@ -170,13 +173,15 @@ def build_style_target(style: Tensor, fe: FeatureExtractor,
                        style_mask: np.ndarray | None = None) -> StyleTarget:
     """The style layers' (optionally masked) Grams and the auto style weight.
 
-    The weight is the reciprocal of the mean squared Gram energy, so
-    different styles get a comparable initial pull; scaling the style
-    features by s scales it by s^-4.
+    The style image and its mask are mirror-padded to the extractor's
+    multiple first. The weight is the reciprocal of the mean squared Gram
+    energy, so different styles get a comparable initial pull; scaling the
+    style features by s scales it by s^-4.
     """
-    masks = (build_mask_pyramid(style_mask, fe.depth).masks
+    masks = (build_mask_pyramid(mirror_pad(style_mask, fe.multiple),
+                                fe.depth).masks
              if style_mask is not None else [None] * fe.depth)
-    feats = extract_features(style, fe)
+    feats = extract_features(Tensor(mirror_pad(style.data, fe.multiple)), fe)
     grams = [masked_gram(feats[lvl], masks[lvl]).data for lvl in fe.style_layers]
     acc = 0.0
     for g in grams:
@@ -257,7 +262,6 @@ class LossParts:
 
 def total_loss(x4: Tensor, c_feats: list[Tensor], target: StyleTarget,
                fe: FeatureExtractor, weights: LossWeights = LossWeights(),
-               content_masks: MaskPyramid | None = None,
                return_parts: bool = False):
     """Full training objective evaluated on the clipped image.
 
@@ -268,7 +272,7 @@ def total_loss(x4: Tensor, c_feats: list[Tensor], target: StyleTarget,
     y = clip_unit(x4)
     feats = extract_features(y, fe)
     lc = content_loss(feats, c_feats, fe)
-    ls = style_loss(feats, target, fe, content_masks)
+    ls = style_loss(feats, target, fe)
     ltv = tv_loss(y)
     total = lincomb(lincomb(lc, ls, weights.lam_c, target.lam_s),
                     ltv, 1.0, weights.lam_tv)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .perceptual import (
     FeatureExtractor,
+    LossParts,
     LossWeights,
     StyleTarget,
     extract_features,
@@ -34,8 +35,7 @@ class DivergenceError(RuntimeError):
 class DescentConfig:
     iters: int
     mu: float | None = None          # None: 5-point geometric grid search
-    lam_c: float = 0.025
-    lam_tv: float = 0.5
+    weights: LossWeights = field(default_factory=LossWeights)
     init: str = "content"
     noise_bound: float = 0.1
     seed: int = 0
@@ -51,18 +51,9 @@ class DescentConfig:
 
 
 @dataclass
-class TrajectoryRow:
-    iter: int
-    total: float
-    content: float
-    style: float
-    tv: float
-
-
-@dataclass
 class DescentResult:
     image: Tensor
-    trajectory: list[TrajectoryRow]
+    trajectory: list[LossParts]      # indexed by iteration
     mu: float
     iterates: list[Tensor] = field(default_factory=list)
 
@@ -93,7 +84,6 @@ def _loss_and_grad(x: Tensor, c_feats, target, fe, weights):
 
 def _run(content: Tensor, target: StyleTarget, fe: FeatureExtractor,
          cfg: DescentConfig, project: bool, keep_iterates: bool) -> DescentResult:
-    weights = LossWeights(cfg.lam_c, cfg.lam_tv)
     c_feats = extract_features(content, fe)
     x_data = _init_image(content, cfg)
     if project:
@@ -103,27 +93,25 @@ def _run(content: Tensor, target: StyleTarget, fe: FeatureExtractor,
     mu = cfg.mu if cfg.mu is not None else _pick_mu(
         content, target, fe, cfg, project)
     x = Tensor(x_data)
-    trajectory: list[TrajectoryRow] = []
+    trajectory: list[LossParts] = []
     iterates = [x] if keep_iterates else []
     try:
-        for t in range(cfg.iters):
-            parts, g = _loss_and_grad(x, c_feats, target, fe, weights)
-            trajectory.append(TrajectoryRow(t, parts.total, parts.content,
-                                            parts.style, parts.tv))
+        for _ in range(cfg.iters):
+            parts, g = _loss_and_grad(x, c_feats, target, fe, cfg.weights)
+            trajectory.append(parts)
             new_data = x.data - mu * g
             if project:
                 new_data = _project(new_data, cfg.projector)
             x = Tensor(new_data)
             if keep_iterates:
                 iterates.append(x)
-        _, parts = total_loss(x, c_feats, target, fe, weights,
+        _, parts = total_loss(x, c_feats, target, fe, cfg.weights,
                               return_parts=True)
     except NonFiniteError as exc:
         raise DivergenceError(
             f"loss became non-finite at iteration {len(trajectory)} "
             f"(mu={mu:g}, init={cfg.init!r}): {exc}") from exc
-    trajectory.append(TrajectoryRow(cfg.iters, parts.total, parts.content,
-                                    parts.style, parts.tv))
+    trajectory.append(parts)
     return DescentResult(x, trajectory, mu, iterates)
 
 

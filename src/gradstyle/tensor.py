@@ -184,7 +184,7 @@ def fresh_weights(rng):
 
 
 # ---------------------------------------------------------------------------
-# reflection padding
+# reflection padding, and the untaped sizing of inputs and masks
 
 
 def _along(axis, index):
@@ -219,6 +219,36 @@ def _fold_reflect(g, pad, axis):
         out[_along(axis, lo)] += g[_along(axis, pad - k)]
         out[_along(axis, hi)] += g[_along(axis, pad + n - 1 + k)]
     return out
+
+
+def side_multiple(levels: int) -> int:
+    """Sides a pyramid of `levels` levels, halved between levels, needs."""
+    return 2 ** (levels - 1)
+
+
+def mirror_pad(data: np.ndarray, multiple: int) -> np.ndarray:
+    """Mirror-pad the bottom/right of a (..., h, w) array up to multiples of
+    `multiple`.
+
+    The padding reflects about the last row/column without repeating it, so
+    each side needs more pixels than it gains; smaller inputs are rejected.
+    """
+    h, w = data.shape[-2:]
+    nh, nw = -(-h // multiple) * multiple, -(-w // multiple) * multiple
+    if (nh, nw) == (h, w):
+        return data
+    if nh - h > h - 1 or nw - w > w - 1:
+        raise ValueError(f"image {h}x{w} too small to mirror-pad to "
+                         f"{nh}x{nw}")
+    widths = ((0, 0),) * (data.ndim - 2) + ((0, nh - h), (0, nw - w))
+    return np.pad(data, widths, mode="reflect")
+
+
+def block_mean2(data: np.ndarray) -> np.ndarray:
+    """2x2 block means of a (..., h, w) array, h and w even, each block
+    summed row by row in any memory layout (avg_pool2 pairs terms otherwise)."""
+    return 0.25 * (data[..., 0::2, 0::2] + data[..., 0::2, 1::2]
+                   + data[..., 1::2, 0::2] + data[..., 1::2, 1::2])
 
 
 # ---------------------------------------------------------------------------

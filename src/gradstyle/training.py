@@ -26,8 +26,9 @@ from .network import (
     unroll,
 )
 from .perceptual import (
+    DEFAULT_CHANNELS,
     FeatureExtractor,
-    LossWeights,
+    LossParts,
     StyleTarget,
     build_style_target,
     conv_stack,
@@ -36,7 +37,7 @@ from .perceptual import (
     total_loss,
 )
 from .solver import DivergenceError
-from .tensor import GradTape, NonFiniteError, Tensor, backward
+from .tensor import GradTape, NonFiniteError, Tensor, backward, side_multiple
 
 __all__ = [
     "AdamState", "TrainConfig", "TrainResult", "adam_step", "load_checkpoint",
@@ -47,6 +48,9 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# training feeds every image to default_extractor, whose pyramid sets the
+# side multiple (the network's divides it)
+TRAIN_SIDE_MULTIPLE = side_multiple(len(DEFAULT_CHANNELS))
 
 
 @dataclass
@@ -87,8 +91,6 @@ class TrainConfig:
 
     epochs: int = 2
     side: int = 64
-    lam_c: float = 0.025
-    lam_tv: float = 0.5
     lr: float = 1e-5
     noise_bound: float = 0.1
     seed: int = 0
@@ -96,8 +98,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.lr < 0 or self.noise_bound < 0:
             raise ValueError("epochs, lr and noise bound must be >= 0")
-        if self.side <= 0 or self.side % 8:
-            raise ValueError("side must be a positive multiple of 8")
+        if self.side <= 0 or self.side % TRAIN_SIDE_MULTIPLE:
+            raise ValueError(f"side must be a positive multiple of "
+                             f"{TRAIN_SIDE_MULTIPLE}")
 
 
 def _resize_axis(n_in, n_out):
@@ -147,32 +150,23 @@ def load_content_set(directory, side: int):
 
 
 @dataclass
-class EpochRow:
-    epoch: int
-    total: float
-    content: float
-    style: float
-    tv: float
-
-
-@dataclass
 class TrainResult:
     model: UnrolledModel
-    rows: list[EpochRow]
+    rows: list[LossParts]            # validation loss, indexed by epoch
     targets: list[StyleTarget]
     val_names: list[str]
 
 
-def _validation_row(epoch, model, val_imgs, val_feats, targets, fe, weights):
+def _validation_row(model, val_imgs, val_feats, targets, fe):
     acc = np.zeros(4)
     for i, img in enumerate(val_imgs):
         style_i = i % len(targets)
         x4 = unroll(img, model, style_i)
-        _, parts = total_loss(x4, val_feats[i], targets[style_i], fe, weights,
+        _, parts = total_loss(x4, val_feats[i], targets[style_i], fe,
                               return_parts=True)
         acc += (parts.total, parts.content, parts.style, parts.tv)
     acc /= len(val_imgs)
-    return EpochRow(epoch, *(float(a) for a in acc))
+    return LossParts(*(float(a) for a in acc))
 
 
 def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> TrainResult:
@@ -195,7 +189,6 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
         model.styles[i].lam_s = target.lam_s
         model.styles[i].target_grams = [g.copy() for g in target.grams]
         targets.append(target)
-    weights = LossWeights(cfg.lam_c, cfg.lam_tv)
 
     images, names = load_content_set(contents_dir, cfg.side)
     n_val = max(1, len(images) // 10)
@@ -209,7 +202,7 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, noise_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
-    rows = [_validation_row(0, model, val_imgs, val_feats, targets, fe, weights)]
+    rows = [_validation_row(model, val_imgs, val_feats, targets, fe)]
     last_good = copy.deepcopy(model)
     sample_counter = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -224,12 +217,12 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
                 with GradTape() as tape:
                     x4 = unroll(Tensor(img.data + noise), model, style_i)
                     loss = total_loss(x4, train_feats[idx], targets[style_i],
-                                      fe, weights)
+                                      fe)
                     grads = backward(tape, loss)
                 grad_list = [grads.get(p, np.zeros_like(p.data)) for p in params]
                 adam_step(adam, grad_list, cfg.lr)
-            rows.append(_validation_row(epoch, model, val_imgs, val_feats,
-                                        targets, fe, weights))
+            rows.append(_validation_row(model, val_imgs, val_feats, targets,
+                                        fe))
         except NonFiniteError as exc:
             err = DivergenceError(
                 f"training diverged in epoch {epoch}: {exc}")
@@ -239,13 +232,13 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
     return TrainResult(model, rows, targets, val_names)
 
 
-def write_training_log(path, rows: list[EpochRow]):
+def write_training_log(path, rows: list[LossParts]):
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "val_total", "val_content", "val_style",
                          "val_tv"])
-        for row in rows:
-            writer.writerow([row.epoch, repr(row.total), repr(row.content),
+        for epoch, row in enumerate(rows):
+            writer.writerow([epoch, repr(row.total), repr(row.content),
                              repr(row.style), repr(row.tv)])
 
 

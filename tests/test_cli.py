@@ -12,7 +12,7 @@ from gradstyle.perceptual import (
     extract_features,
     total_loss,
 )
-from gradstyle.training import load_checkpoint
+from gradstyle.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,21 @@ class TestStylizeCommand:
         assert main(["stylize", "--model", str(bad), "--input", str(inp),
                      "--output", str(tmp_path / "o.ppm")]) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_values_exit_4(self, workspace, tmp_path, capsys):
+        # a readable checkpoint whose weights overflow the forward pass is
+        # numeric divergence, not an I/O failure
+        model = load_checkpoint(workspace["ckpt"])
+        for layer in model.fwd:
+            layer.kernel.data *= 1e30
+        huge = tmp_path / "huge.ckpt"
+        save_checkpoint(model, huge)
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, smooth_image(np.random.default_rng(15), 16))
+        assert main(["stylize", "--model", str(huge), "--input", str(inp),
+                     "--output", str(tmp_path / "o.ppm")]) == 4
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_zero_iters_content_init(self, workspace, tmp_path):
@@ -263,6 +278,7 @@ _COMPARE = ["compare", "--model", "m.ckpt", "--input", "in.ppm"]
     _STYLIZE + ["--alpha", "inf"],
     _TRAIN + ["--epochs", "-1"],
     _TRAIN + ["--size", "12"],
+    _TRAIN + ["--size", "24"],
     _TRAIN + ["--size", "0"],
     _COMPARE + ["--iters", "-1"],
     _COMPARE + ["--iters", "1", "--mu", "0"],

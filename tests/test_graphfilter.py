@@ -13,6 +13,7 @@ from gradstyle.graphfilter import (
     jackson_cheb_coeffs,
     matting_laplacian,
 )
+from gradstyle.tensor import mirror_pad
 
 
 def random_rgb(seed, h=8, w=8):
@@ -254,7 +255,18 @@ class TestPyramid:
         with pytest.raises(ValueError, match="expects"):
             pyr.filter_map(0, np.zeros((1, 8, 8)))
 
-    def test_non_multiple_of_8_rejected(self):
-        with pytest.raises(ValueError, match="multiples of 8"):
-            build_pyramid(np.full((3, 12, 12), 0.5))
+    def test_pads_its_input_like_stylize(self):
+        # 250 pads to 256: every level is built on the mirror-padded content
+        img = np.random.default_rng(5).uniform(0, 1, (3, 250, 250))
+        pyr = build_pyramid(img)
+        ref = build_pyramid(mirror_pad(img, 8))
+        for lap, f, ref_lap, ref_f in zip(pyr.laplacians, pyr.filters,
+                                          ref.laplacians, ref.filters):
+            assert (lap.height, lap.width) == (ref_lap.height, ref_lap.width)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(lap.mat, part),
+                                              getattr(ref_lap.mat, part))
+            assert lap.lambda_max == ref_lap.lambda_max
+            np.testing.assert_array_equal(f.coeffs, ref_f.coeffs)
+        assert [lap.height for lap in pyr.laplacians] == [256, 128, 64, 32]
 

@@ -16,7 +16,6 @@ from gradstyle.network import (
     descent_step,
     forward_maps,
     init_model,
-    mirror_pad,
     param_count,
     style_correction,
     stylize,
@@ -28,6 +27,7 @@ from gradstyle.tensor import (
     avg_pool2,
     backward,
     bilinear_up2,
+    mirror_pad,
     chan_matmul,
     conv2d_reflect,
     lincomb,

@@ -18,7 +18,14 @@ from gradstyle.perceptual import (
     total_loss,
     tv_loss,
 )
-from gradstyle.tensor import ConvLayer, GradTape, Tensor, backward, masked_gram
+from gradstyle.tensor import (
+    ConvLayer,
+    GradTape,
+    Tensor,
+    backward,
+    masked_gram,
+    mirror_pad,
+)
 from gradstyle.perceptual import FeatureExtractor
 
 
@@ -248,6 +255,21 @@ class TestStyleWeightAuto:
         fe = make_small_extractor()
         with pytest.raises(ValueError, match="undefined"):
             build_style_target(Tensor(np.zeros((3, 8, 8))), fe)
+
+
+def test_style_target_pads_style_and_mask_to_the_extractor(rng):
+    # the default extractor pools four times, so 21 pads to 32
+    fe = default_extractor(0)
+    assert fe.multiple == 16
+    style = random_image(rng, (3, 21, 21))
+    mask = np.zeros((21, 21))
+    mask[:, :12] = 1.0
+    got = build_style_target(style, fe, mask)
+    ref = build_style_target(Tensor(mirror_pad(style.data, 16)), fe,
+                             mirror_pad(mask, 16))
+    assert got.lam_s == ref.lam_s
+    for g, r in zip(got.grams, ref.grams):
+        np.testing.assert_array_equal(g, r)
 
 
 class TestMaskPyramid:

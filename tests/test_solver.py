@@ -39,8 +39,9 @@ class TestPlainDescent:
         res = grad_descent_stylize(content, target, fe,
                                    DescentConfig(iters=0, mu=1.0))
         np.testing.assert_array_equal(res.image.data, content.data)
-        assert len(res.trajectory) == 1
-        assert res.trajectory[0].iter == 0
+        _, parts = total_loss(content, extract_features(content, fe), target,
+                              fe, return_parts=True)
+        assert res.trajectory == [parts]
 
     def test_stationary_at_joint_minimum(self, rng, fe):
         # style target built from the content itself and no TV weight:
@@ -49,7 +50,7 @@ class TestPlainDescent:
         feats = extract_features(content, fe)
         target = StyleTarget([masked_gram(feats[l]).data for l in fe.style_layers],
                              lam_s=1.0)
-        cfg = DescentConfig(iters=5, mu=1.0, lam_tv=0.0)
+        cfg = DescentConfig(iters=5, mu=1.0, weights=LossWeights(lam_tv=0.0))
         res = grad_descent_stylize(content, target, fe, cfg)
         np.testing.assert_array_equal(res.image.data, content.data)
         assert res.trajectory[-1].total == 0.0
@@ -62,8 +63,7 @@ class TestPlainDescent:
         assert len(res.iterates) == 7
         c_feats = extract_features(content, fe)
         for row, it in zip(res.trajectory, res.iterates):
-            _, parts = total_loss(it, c_feats, target, fe,
-                                  LossWeights(cfg.lam_c, cfg.lam_tv),
+            _, parts = total_loss(it, c_feats, target, fe, cfg.weights,
                                   return_parts=True)
             assert row.total == pytest.approx(parts.total, rel=1e-10)
 

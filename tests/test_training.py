@@ -152,7 +152,7 @@ class TestTrain:
         result = train(model, [(smooth_image(rng, 32), None)], contents,
                        TrainConfig(epochs=0, side=16))
         assert_same_weights(result.model, snap)
-        assert len(result.rows) == 1 and result.rows[0].epoch == 0
+        assert len(result.rows) == 1        # epoch 0: before any step
 
     def test_zero_lr_model_and_validation_constant(self, tmp_path, rng):
         contents = make_content_dir(tmp_path)
@@ -182,6 +182,12 @@ class TestTrain:
         moved = any(not np.array_equal(p.data, s)
                     for p, s in zip(model.parameters(), snap))
         assert moved
+
+    @pytest.mark.parametrize("side", [0, 12, 24])
+    def test_side_must_fit_the_extractor_pyramid(self, side):
+        # the default extractor pools four times: sides are multiples of 16
+        with pytest.raises(ValueError, match="multiple of 16"):
+            TrainConfig(side=side)
 
     def test_style_count_mismatch_rejected(self, tmp_path, rng):
         contents = make_content_dir(tmp_path)
@@ -314,11 +320,12 @@ class TestExtractorContainer:
 
 
 def test_training_log_format(tmp_path, rng):
-    from gradstyle.training import EpochRow
-    rows = [EpochRow(0, 1.5, 0.5, 0.75, 0.25), EpochRow(1, 1.0, 0.3, 0.5, 0.2)]
+    from gradstyle.perceptual import LossParts
+    rows = [LossParts(1.5, 0.5, 0.75, 0.25), LossParts(1.0, 0.3, 0.5, 0.2)]
     path = tmp_path / "log.csv"
     write_training_log(path, rows)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "epoch,val_total,val_content,val_style,val_tv"
     assert lines[1].startswith("0,1.5,")
+    assert lines[2].startswith("1,1.0,")
     assert len(lines) == 3
