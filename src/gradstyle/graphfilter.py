@@ -5,14 +5,12 @@ defines a graph on which photorealistic results are smooth signals. Ideal
 low-pass filtering below a threshold eigenvalue projects onto the bandlimited
 subspace; at scale this is approximated by a damped Chebyshev polynomial of
 the sparse Laplacian, so filtering costs exactly `order` sparse mat-vec
-products per signal. A dense eigendecomposition projector is kept as the
-small-scale oracle.
+products per signal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +22,8 @@ from .tensor import Tensor, block_mean2, mirror_pad
 DEFAULT_MATTING_EPS = 1e-5
 DEFAULT_ORDER = 5
 DEFAULT_LAMBDA_FRAC = 0.2
+LAMBDA_MAX_ITERS = 200
+LAMBDA_MAX_TOL = 1e-4
 
 
 @dataclass
@@ -38,7 +38,6 @@ class SparseLaplacian:
     height: int
     width: int
     lambda_max: float = 0.0
-    degenerate: bool = False
     matvec_count: int = field(default=0, compare=False)
 
     @property
@@ -84,21 +83,17 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     cols = np.broadcast_to(win_idx[:, None, :], vals.shape).ravel()
     mat = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     lap = SparseLaplacian(mat, h, w)
-    lap.lambda_max, lap.degenerate = estimate_lambda_max(lap)
+    lap.lambda_max = estimate_lambda_max(lap)
     return lap
 
 
-class LambdaMaxEstimate(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-def estimate_lambda_max(lap: SparseLaplacian, max_iter: int = 200,
-                        tol: float = 1e-4) -> LambdaMaxEstimate:
+def estimate_lambda_max(lap: SparseLaplacian) -> float:
     """Largest-eigenvalue estimate by seeded power iteration, inflated by 1%.
 
-    Stops when the relative Rayleigh-quotient change drops below `tol`. A zero
-    matrix yields (0, degenerate=True).
+    Stops when the relative Rayleigh-quotient change drops below
+    LAMBDA_MAX_TOL, or after LAMBDA_MAX_ITERS products. A zero matrix yields
+    0.0; a matting Laplacian never is one, since each window adds a block of
+    trace 8 - tr((S_k + eps/9 I)^-1 S_k) > 5.
     """
     n = lap.mat.shape[0]
     rng = np.random.default_rng(0)
@@ -106,17 +101,18 @@ def estimate_lambda_max(lap: SparseLaplacian, max_iter: int = 200,
     v /= np.linalg.norm(v)
     ray_prev = None
     ray = 0.0
-    for _ in range(max_iter):
+    for _ in range(LAMBDA_MAX_ITERS):
         w = lap.matvec(v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
-            return LambdaMaxEstimate(0.0, True)
+            return 0.0
         ray = float(v @ w)
         v = w / norm_w
-        if ray_prev is not None and abs(ray - ray_prev) <= tol * abs(ray):
+        if (ray_prev is not None
+                and abs(ray - ray_prev) <= LAMBDA_MAX_TOL * abs(ray)):
             break
         ray_prev = ray
-    return LambdaMaxEstimate(1.01 * ray, False)
+    return 1.01 * ray
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +130,7 @@ class ChebFilter:
     order: int
     lambda_star: float
     lambda_max: float
-    coeffs: np.ndarray                # damped: step_coeffs * damping
-    step_coeffs: np.ndarray | None = None
-    damping: np.ndarray | None = None
+    coeffs: np.ndarray                # step coefficients * Jackson damping
 
     def response(self, lams) -> np.ndarray:
         """Polynomial response r(lambda), evaluated by scalar recurrence."""
@@ -172,8 +166,7 @@ def jackson_cheb_coeffs(order: int, lambda_star: float,
     j_all = np.arange(order + 1)
     g = ((1.0 - j_all / (order + 2)) * np.sin(a) * np.cos(j_all * a)
          + (1.0 / (order + 2)) * np.cos(a) * np.sin(j_all * a)) / np.sin(a)
-    return ChebFilter(order, lambda_star, lambda_max, g * c,
-                      step_coeffs=c, damping=g)
+    return ChebFilter(order, lambda_star, lambda_max, g * c)
 
 
 def apply_poly_filter(lap: SparseLaplacian, filt: ChebFilter, signal):
@@ -200,52 +193,6 @@ def apply_poly_filter(lap: SparseLaplacian, filt: ChebFilter, signal):
         y = y + d[j] * t_next
         t_prev, t_cur = t_cur, t_next
     return y
-
-
-# ---------------------------------------------------------------------------
-# exact projector (small-scale oracle)
-
-
-class ExactProjector:
-    """Projection onto the span of eigenvectors with eigenvalue <= lambda_star.
-
-    When every eigenvalue passes, the projector is the identity map and is
-    applied as such (no matrix product), which keeps trajectories bit-equal
-    to the unprojected path.
-    """
-
-    def __init__(self, basis: np.ndarray | None, n: int, k: int,
-                 lambda_star: float):
-        self.basis = basis
-        self.n = n
-        self.k = k
-        self.lambda_star = lambda_star
-        self.is_identity = basis is None
-
-    def __call__(self, x):
-        if self.is_identity:
-            return x
-        return self.basis @ (self.basis.T @ x)
-
-    @property
-    def matrix(self):
-        if self.is_identity:
-            return np.eye(self.n)
-        return self.basis @ self.basis.T
-
-
-def exact_projector(lap: SparseLaplacian, lambda_star: float,
-                    max_n: int = 4096) -> ExactProjector:
-    """Dense-eigendecomposition projector; oracle scale only (n <= 4096)."""
-    n = lap.n
-    if n > max_n:
-        raise ValueError(f"exact projector limited to n <= {max_n}, got {n}")
-    dense = lap.mat.toarray()
-    lams, u = np.linalg.eigh((dense + dense.T) / 2.0)
-    k = int(np.sum(lams <= lambda_star))
-    if k >= n:
-        return ExactProjector(None, n, n, lambda_star)
-    return ExactProjector(np.ascontiguousarray(u[:, :k]), n, k, lambda_star)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +233,8 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
     stylize pads it, so each level matches a backward-map scale. Each level
     gets its own largest-eigenvalue estimate and a low-pass filter with
     threshold lambda_frac * lambda_max. A level too small to hold a 3x3
-    window (or with an all-zero Laplacian) has an empty spectrum above any
-    threshold, so its exact low-pass is the identity and no filter is built.
+    window has an empty Laplacian, so its exact low-pass is the identity and
+    no filter is built.
     """
     data = content.data if isinstance(content, Tensor) else np.asarray(content, dtype=np.float64)
     laps, filts = [], []
@@ -297,14 +244,11 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
             img = np.clip(block_mean2(img), 0.0, 1.0)
         _, h, w = img.shape
         if h < 3 or w < 3:
-            lap = SparseLaplacian(sp.csr_matrix((h * w, h * w)), h, w,
-                                  lambda_max=0.0, degenerate=True)
-        else:
-            lap = matting_laplacian(img, epsilon)
-        if lap.degenerate:
+            laps.append(SparseLaplacian(sp.csr_matrix((h * w, h * w)), h, w))
             filts.append(None)
-        else:
-            filts.append(jackson_cheb_coeffs(
-                order, lambda_frac * lap.lambda_max, lap.lambda_max))
+            continue
+        lap = matting_laplacian(img, epsilon)
         laps.append(lap)
+        filts.append(jackson_cheb_coeffs(
+            order, lambda_frac * lap.lambda_max, lap.lambda_max))
     return LaplacianPyramid(laps, filts)

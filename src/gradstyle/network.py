@@ -19,6 +19,7 @@ from .guided import GuidedFilterParams, guided_filter
 from .perceptual import MaskPyramid, build_mask_pyramid, conv_pyramid, conv_stack
 from .tensor import (
     ConvLayer,
+    NonFiniteError,
     Tensor,
     _active_tape,
     bilinear_up2,
@@ -150,13 +151,6 @@ class InferenceOptions:
             self.blend_mask = bm
 
 
-class IdentityHooks:
-    """Filter hooks that pass every map through unchanged."""
-
-    def filter_map(self, level, arr):
-        return arr
-
-
 def forward_maps(x: Tensor, model: UnrolledModel) -> list[Tensor]:
     """Features at the four levels: (16,h,w), (32,h/2,w/2), (64,h/4,w/4), (128,h/8,w/8)."""
     if x.height % SIDE_MULTIPLE or x.width % SIDE_MULTIPLE:
@@ -235,9 +229,18 @@ def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
 def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
            opts: InferenceOptions | None = None,
            content_masks: MaskPyramid | None = None) -> Tensor:
-    """The network: all NUM_STEPS descent steps from x, unclipped."""
+    """The network: all NUM_STEPS descent steps from x, unclipped.
+
+    An overflow or invalid value inside a step raises NonFiniteError naming
+    the step, in place of NumPy's warning.
+    """
     for t in range(NUM_STEPS):
-        x = descent_step(x, t, model, style_id, opts, content_masks)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                x = descent_step(x, t, model, style_id, opts, content_masks)
+        except FloatingPointError as exc:
+            raise NonFiniteError(
+                f"descent step {t} produced non-finite values: {exc}") from exc
     return x
 
 

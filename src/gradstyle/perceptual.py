@@ -2,9 +2,9 @@
 
 The total objective combines a content term, a (optionally masked) Gram-matrix
 style term and a squared total-variation term, all evaluated on the clipped
-image. The feature extractor is pluggable: the default is a small seeded
-5-level conv+pool pyramid that is deterministic and dependency-free; weights
-trained elsewhere can be loaded through the same interface.
+image. Features come from a small seeded 5-level conv+pool pyramid that is
+deterministic and dependency-free; checkpoints record its seed, not its
+weights.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ class FeatureExtractor:
     layers: list[ConvLayer]
     style_layers: tuple[int, ...]
     content_layers: tuple[int, ...]
-    seed: int = 0
 
     def __post_init__(self):
         if not self.style_layers or not self.content_layers:
@@ -63,10 +62,6 @@ class FeatureExtractor:
     def multiple(self):
         """Sides every input must be a multiple of."""
         return side_multiple(self.depth)
-
-    @property
-    def channel_counts(self):
-        return tuple(layer.out_ch for layer in self.layers)
 
 
 def conv_stack(channels, weight) -> list[ConvLayer]:
@@ -97,7 +92,7 @@ def default_extractor(seed: int = 0) -> FeatureExtractor:
     layers = conv_stack(DEFAULT_CHANNELS,
                         fresh_weights(np.random.default_rng(seed)))
     return FeatureExtractor(layers, style_layers=(0, 1, 2, 3, 4),
-                            content_layers=(3,), seed=seed)
+                            content_layers=(3,))
 
 
 def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:

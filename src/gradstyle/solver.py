@@ -23,7 +23,7 @@ from .perceptual import (
 )
 from .tensor import GradTape, NonFiniteError, Tensor, backward
 
-INIT_MODES = ("content", "content+noise", "noise")
+INIT_MODES = ("content", "noise")
 MU_GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0)
 
 
@@ -37,7 +37,6 @@ class DescentConfig:
     mu: float | None = None          # None: 5-point geometric grid search
     weights: LossWeights = field(default_factory=LossWeights)
     init: str = "content"
-    noise_bound: float = 0.1
     seed: int = 0
     projector: object | None = None  # callable on per-channel flat vectors
 
@@ -59,13 +58,10 @@ class DescentResult:
 
 
 def _init_image(content: Tensor, cfg: DescentConfig) -> np.ndarray:
-    rng = np.random.default_rng(cfg.seed)
     if cfg.init == "content":
         return content.data.copy()
-    if cfg.init == "content+noise":
-        amp = rng.uniform(0.0, cfg.noise_bound)
-        return content.data + rng.uniform(-amp, amp, size=content.data.shape)
-    return rng.uniform(0.0, 1.0, size=content.data.shape)
+    return np.random.default_rng(cfg.seed).uniform(0.0, 1.0,
+                                                   size=content.data.shape)
 
 
 def _project(x: np.ndarray, projector) -> np.ndarray:

@@ -27,23 +27,15 @@ from .network import (
 )
 from .perceptual import (
     DEFAULT_CHANNELS,
-    FeatureExtractor,
     LossParts,
     StyleTarget,
     build_style_target,
-    conv_stack,
     default_extractor,
     extract_features,
     total_loss,
 )
 from .solver import DivergenceError
 from .tensor import GradTape, NonFiniteError, Tensor, backward, side_multiple
-
-__all__ = [
-    "AdamState", "TrainConfig", "TrainResult", "adam_step", "load_checkpoint",
-    "load_content_set", "load_extractor", "save_checkpoint", "save_extractor",
-    "train", "write_training_log",
-]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -248,7 +240,7 @@ def write_training_log(path, rows: list[LossParts]):
 # Layout (little-endian):
 #   magic "UNRL" | u16 version | u16 section | u16 n_levels | u16 reserved
 #   u32 channels[n_levels] | u32 n_styles | u64 extractor_seed
-#   u32 style_layer_mask | u32 content_layer_mask      (extractor sections)
+#   u32 reserved | u32 reserved                        (written as 0)
 #   per style: f64 lam_s
 #   per style: u32 n_gram_layers, then per layer u32 side + f64 side^2 entries
 #   f32 weight payload in fixed order: forward convs in depth order (kernel
@@ -258,21 +250,10 @@ def write_training_log(path, rows: list[LossParts]):
 MAGIC = b"UNRL"
 VERSION = 1
 SECTION_MODEL = 1
-SECTION_EXTRACTOR = 2
 
 
 class CheckpointError(ValueError):
     """Unreadable, wrong-version or wrong-shape checkpoint file."""
-
-
-def _pack_header(section, channels, n_styles, extractor_seed,
-                 style_mask=0, content_mask=0):
-    buf = bytearray(MAGIC)
-    buf += struct.pack("<HHHH", VERSION, section, len(channels), 0)
-    buf += struct.pack(f"<{len(channels)}I", *channels)
-    buf += struct.pack("<IQ", n_styles, extractor_seed)
-    buf += struct.pack("<II", style_mask, content_mask)
-    return buf
 
 
 class _Reader:
@@ -308,26 +289,11 @@ class _Reader:
                 f"{len(self.buf) - self.pos} unexpected trailing bytes")
 
 
-def _read_header(reader, expect_section):
-    magic = bytes(reader.take("<4s")[0])
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}")
-    version, section, n_levels, _ = reader.take("<HHHH")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported version {version}")
-    if section != expect_section:
-        raise CheckpointError(f"wrong section tag {section}, "
-                              f"expected {expect_section}")
-    channels = reader.take(f"<{n_levels}I")
-    n_styles, extractor_seed = reader.take("<IQ")
-    style_mask, content_mask = reader.take("<II")
-    return channels, n_styles, extractor_seed, style_mask, content_mask
-
-
 def save_checkpoint(model: UnrolledModel, path):
     """Serialize all weights (32-bit) and per-style metadata."""
-    buf = _pack_header(SECTION_MODEL, CHANNELS, model.n_styles,
-                       model.extractor_seed)
+    buf = bytearray(MAGIC) + struct.pack(
+        f"<HHHH{len(CHANNELS)}IIQII", VERSION, SECTION_MODEL, len(CHANNELS),
+        0, *CHANNELS, model.n_styles, model.extractor_seed, 0, 0)
     for style in model.styles:
         buf += struct.pack("<d", style.lam_s)
     for style in model.styles:
@@ -345,9 +311,18 @@ def save_checkpoint(model: UnrolledModel, path):
 def load_checkpoint(path) -> UnrolledModel:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
-    channels, n_styles, extractor_seed, _, _ = _read_header(
-        reader, SECTION_MODEL)
-    if tuple(channels) != CHANNELS:
+    magic = bytes(reader.take("<4s")[0])
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}")
+    version, section, n_levels, _ = reader.take("<HHHH")
+    if version != VERSION:
+        raise CheckpointError(f"unsupported version {version}")
+    if section != SECTION_MODEL:
+        raise CheckpointError(f"wrong section tag {section}, "
+                              f"expected {SECTION_MODEL}")
+    channels = reader.take(f"<{n_levels}I")
+    n_styles, extractor_seed, _, _ = reader.take("<IQII")
+    if channels != CHANNELS:
         raise CheckpointError(f"unsupported channel schedule {channels}")
     lam_s = [reader.take("<d")[0] for _ in range(n_styles)]
     all_grams = []
@@ -364,29 +339,3 @@ def load_checkpoint(path) -> UnrolledModel:
     styles = [StyleParams(h, lam, grams or None)
               for h, lam, grams in zip(hs, lam_s, all_grams)]
     return UnrolledModel(fwd, bwd, styles, extractor_seed=extractor_seed)
-
-
-def save_extractor(fe: FeatureExtractor, path):
-    """Extractor weights in the shared container, distinct section tag."""
-    def mask(levels):
-        return sum(1 << l for l in levels)
-
-    buf = _pack_header(SECTION_EXTRACTOR, fe.channel_counts, 0, fe.seed,
-                       mask(fe.style_layers), mask(fe.content_layers))
-    for layer in fe.layers:
-        buf += layer.kernel.data.astype("<f4").tobytes()
-        buf += layer.bias.data.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
-
-
-def load_extractor(path) -> FeatureExtractor:
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    channels, _, seed, style_mask, content_mask = _read_header(
-        reader, SECTION_EXTRACTOR)
-    layers = conv_stack(channels, reader.take_weights)
-    reader.check_end()
-    unmask = lambda m: tuple(l for l in range(len(channels)) if m >> l & 1)
-    return FeatureExtractor(layers, unmask(style_mask), unmask(content_mask),
-                            seed=seed)

@@ -21,7 +21,7 @@ def make_small_extractor(seed=5, channels=(4, 8, 8), style_layers=None,
         in_ch = out_ch
     if style_layers is None:
         style_layers = tuple(range(len(channels)))
-    return FeatureExtractor(layers, style_layers, content_layers, seed=seed)
+    return FeatureExtractor(layers, style_layers, content_layers)
 
 
 def random_image(rng, shape=(3, 8, 8), lo=0.1, hi=0.9):

@@ -161,6 +161,54 @@ def spectral_filter_dense(lap_dense, response_fn, signal):
                 else response_fn(lams) * (u.T @ signal))
 
 
+class IdentityHooks:
+    """Filter hooks that pass every map through unchanged."""
+
+    def filter_map(self, level, arr):
+        return arr
+
+
+class ExactProjector:
+    """Projection onto the span of eigenvectors with eigenvalue <= lambda_star.
+
+    When every eigenvalue passes, the projector is the identity map and is
+    applied as such (no matrix product), which keeps trajectories bit-equal
+    to the unprojected path.
+    """
+
+    def __init__(self, basis, n, k, lambda_star):
+        self.basis = basis
+        self.n = n
+        self.k = k
+        self.lambda_star = lambda_star
+        self.is_identity = basis is None
+
+    def __call__(self, x):
+        if self.is_identity:
+            return x
+        return self.basis @ (self.basis.T @ x)
+
+    @property
+    def matrix(self):
+        if self.is_identity:
+            return np.eye(self.n)
+        return self.basis @ self.basis.T
+
+
+def exact_projector(lap, lambda_star, max_n=4096):
+    """Ideal low-pass of a graph Laplacian from its dense eigendecomposition:
+    the small-scale oracle for the Chebyshev filters (n <= 4096)."""
+    n = lap.n
+    if n > max_n:
+        raise ValueError(f"exact projector limited to n <= {max_n}, got {n}")
+    dense = lap.mat.toarray()
+    lams, u = np.linalg.eigh((dense + dense.T) / 2.0)
+    k = int(np.sum(lams <= lambda_star))
+    if k >= n:
+        return ExactProjector(None, n, n, lambda_star)
+    return ExactProjector(np.ascontiguousarray(u[:, :k]), n, k, lambda_star)
+
+
 def guided_filter_reference(p, guide, radius, eps):
     """Per-window loop implementation of the color-guide filter."""
     cp, h, w = p.shape

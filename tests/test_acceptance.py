@@ -8,17 +8,16 @@ import time
 import numpy as np
 
 import oracles
+from oracles import IdentityHooks, exact_projector
 from conftest import make_small_extractor, smooth_image
 import gradstyle.cli as cli
 from gradstyle.cli import main
 from gradstyle.graphfilter import (
-    exact_projector,
     jackson_cheb_coeffs,
     matting_laplacian,
 )
 from gradstyle.imagecodec import decode_bytes, encode_bytes, write_ppm
 from gradstyle.network import (
-    IdentityHooks,
     InferenceOptions,
     backward_map,
     descent_step,

@@ -158,10 +158,11 @@ class TestStylizeCommand:
         assert main(["stylize", "--model", str(bad), "--input", str(inp),
                      "--output", str(tmp_path / "o.ppm")]) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_values_exit_4(self, workspace, tmp_path, capsys):
         # a readable checkpoint whose weights overflow the forward pass is
-        # numeric divergence, not an I/O failure
+        # numeric divergence, not an I/O failure; the overflow is reported
+        # as one line naming the step, with no NumPy warning before it
         model = load_checkpoint(workspace["ckpt"])
         for layer in model.fwd:
             layer.kernel.data *= 1e30
@@ -171,7 +172,10 @@ class TestStylizeCommand:
         write_ppm(inp, smooth_image(np.random.default_rng(15), 16))
         assert main(["stylize", "--model", str(huge), "--input", str(inp),
                      "--output", str(tmp_path / "o.ppm")]) == 4
-        assert "non-finite" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "gradstyle: descent step 0 produced non-finite values: ")
 
 
 class TestCompareCommand:

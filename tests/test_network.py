@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from gradstyle.graphfilter import build_pyramid, exact_projector
+from gradstyle.graphfilter import build_pyramid
 from gradstyle.guided import GuidedFilterParams
 from gradstyle.network import (
     CHANNELS,
     NUM_STEPS,
-    IdentityHooks,
     InferenceOptions,
     backward_map,
     descent_step,
@@ -23,6 +22,7 @@ from gradstyle.network import (
 )
 from gradstyle.tensor import (
     GradTape,
+    NonFiniteError,
     Tensor,
     avg_pool2,
     backward,
@@ -133,7 +133,7 @@ class TestBackwardMap:
         model = init_model(5)
         corr = self._corrections(rng)
         plain = backward_map(corr, model)
-        hooked = backward_map(corr, model, IdentityHooks())
+        hooked = backward_map(corr, model, oracles.IdentityHooks())
         np.testing.assert_array_equal(plain.data, hooked.data)
 
     def test_matches_manual_composition(self, rng):
@@ -203,6 +203,16 @@ class TestDescentStep:
         for t in range(NUM_STEPS):
             expected = descent_step(expected, t, model)
         np.testing.assert_array_equal(unroll(x, model).data, expected.data)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unroll_names_the_overflowing_step(self, rng):
+        model = seeded_model(5)
+        for layer in model.fwd:
+            layer.kernel.data *= 1e30
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        with pytest.raises(NonFiniteError,
+                           match="descent step 0 produced non-finite values"):
+            unroll(x, model)
 
 
 class TestParamCount:
@@ -303,9 +313,8 @@ def test_projector_hooks_keep_iterates_bandlimited(rng):
     projs, sides = [], []
     for lvl in range(4):
         lap = pyr.laplacians[lvl]
-        star = 0.2 * lap.lambda_max if not lap.degenerate else 1.0
-        projs.append(exact_projector(lap, star) if not lap.degenerate
-                     else (lambda v: v))
+        projs.append(oracles.exact_projector(lap, 0.2 * lap.lambda_max)
+                     if pyr.filters[lvl] is not None else (lambda v: v))
         sides.append((lap.height, lap.width))
     hooks = _ProjectorHooks(projs, sides)
     x0 = Tensor(np.stack([projs[0](content.data[c].reshape(-1))
@@ -348,7 +357,7 @@ def test_tape_in_one_thread_records_nothing_from_another(rng):
     bit-equal to a serial run."""
     model = seeded_model(4)
     img = Tensor(rng.uniform(0.1, 0.9, (3, 16, 16)))
-    hooked = InferenceOptions(filter_hooks=IdentityHooks())
+    hooked = InferenceOptions(filter_hooks=oracles.IdentityHooks())
     tape_open, inference_done = threading.Event(), threading.Barrier(3)
 
     def train_step(concurrent):

@@ -229,7 +229,7 @@ class TestStyleWeightAuto:
         # Gram = 1, so the auto weight is exactly 1
         layer = ConvLayer(Tensor(np.zeros((1, 3, 3, 3))), Tensor(np.ones(1)),
                           relu=True)
-        fe = FeatureExtractor([layer], (0,), (0,), seed=0)
+        fe = FeatureExtractor([layer], (0,), (0,))
         style = Tensor(np.zeros((3, 1, 2)))
         assert build_style_target(style, fe).lam_s == pytest.approx(1.0, rel=1e-14)
 

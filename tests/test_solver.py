@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_small_extractor, random_image, smooth_image
-from gradstyle.graphfilter import exact_projector, matting_laplacian
+from oracles import exact_projector
+from gradstyle.graphfilter import matting_laplacian
 from gradstyle.perceptual import (
     LossWeights,
     build_style_target,
@@ -73,7 +74,7 @@ class TestPlainDescent:
                                    DescentConfig(iters=1))
         assert res.mu in MU_GRID
 
-    @pytest.mark.parametrize("mode", ["content", "content+noise", "noise"])
+    @pytest.mark.parametrize("mode", ["content", "noise"])
     def test_init_modes(self, problem, fe, mode):
         content, target = problem
         cfg = DescentConfig(iters=0, mu=1.0, init=mode, seed=7)
@@ -82,13 +83,6 @@ class TestPlainDescent:
             np.testing.assert_array_equal(res.image.data, content.data)
         else:
             assert not np.array_equal(res.image.data, content.data)
-
-    def test_noise_init_respects_bound(self, problem, fe):
-        content, target = problem
-        cfg = DescentConfig(iters=0, mu=1.0, init="content+noise",
-                            noise_bound=0.05, seed=11)
-        res = grad_descent_stylize(content, target, fe, cfg)
-        assert np.max(np.abs(res.image.data - content.data)) <= 0.05
 
     def test_tuned_mu_trajectories_decrease(self):
         # regression fixture: with a grid-tuned stepsize the loss is
@@ -112,7 +106,7 @@ class TestPlainDescent:
         # an extractor with enormous weights overflows the Gram energy
         layers = [ConvLayer(Tensor(np.full((4, 3, 3, 3), 1e200)),
                             Tensor(np.zeros(4)), relu=True)]
-        fe_bad = FeatureExtractor(layers, (0,), (0,), seed=0)
+        fe_bad = FeatureExtractor(layers, (0,), (0,))
         content = random_image(rng)
         target = StyleTarget([np.eye(4)], lam_s=1.0)
         with pytest.raises(DivergenceError, match="non-finite"):
@@ -201,3 +195,5 @@ class TestConfigValidation:
             DescentConfig(iters=1, mu=0.0)
         with pytest.raises(ValueError):
             DescentConfig(iters=1, init="bogus")
+        with pytest.raises(ValueError, match="init mode"):
+            DescentConfig(iters=1, init="content+noise")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,8 @@ from gradstyle.training import (
     adam_step,
     load_checkpoint,
     load_content_set,
-    load_extractor,
     resize_bilinear,
     save_checkpoint,
-    save_extractor,
     train,
     write_training_log,
 )
@@ -282,6 +282,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_header_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(0, n_styles=2, extractor_seed=9), path)
+        # magic, version 1, section 1, 4 levels, reserved 0, the channel
+        # schedule, 2 styles, extractor seed 9, two reserved zero words
+        expected = b"UNRL" + struct.pack("<HHHH4IIQII", 1, 1, 4, 0,
+                                         16, 32, 64, 128, 2, 9, 0, 0)
+        assert path.read_bytes()[:HEADER_BYTES] == expected
+
+    def test_other_section_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(0), path)
+        data = bytearray(path.read_bytes())
+        assert data[6:8] == (1).to_bytes(2, "little")
+        data[6:8] = (2).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="section"):
+            load_checkpoint(path)
+
     def test_truncated_rejected(self, tmp_path, rng):
         model = self._trained_model(tmp_path, rng)
         path = tmp_path / "m.ckpt"
@@ -289,34 +308,6 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:1000])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
-
-
-class TestExtractorContainer:
-    def test_roundtrip_preserves_features(self, tmp_path, rng):
-        fe = default_extractor(7)
-        path = tmp_path / "fe.bin"
-        save_extractor(fe, path)
-        loaded = load_extractor(path)
-        assert loaded.style_layers == fe.style_layers
-        assert loaded.content_layers == fe.content_layers
-        assert loaded.seed == fe.seed
-        x = smooth_image(rng, 32)
-        a = extract_features(x, loaded)
-        fe32 = default_extractor(7)
-        for layer in fe32.layers:  # quantize reference weights once
-            layer.kernel.data = layer.kernel.data.astype(np.float32).astype(np.float64)
-        b = extract_features(x, fe32)
-        for fa, fb in zip(a, b):
-            np.testing.assert_array_equal(fa.data, fb.data)
-
-    def test_section_tags_are_distinct(self, tmp_path, rng):
-        model = init_model(0)
-        save_checkpoint(model, tmp_path / "m.ckpt")
-        with pytest.raises(CheckpointError, match="section"):
-            load_extractor(tmp_path / "m.ckpt")
-        save_extractor(default_extractor(0), tmp_path / "fe.bin")
-        with pytest.raises(CheckpointError, match="section"):
-            load_checkpoint(tmp_path / "fe.bin")
 
 
 def test_training_log_format(tmp_path, rng):
