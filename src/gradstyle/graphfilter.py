@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .network import CHANNELS, SIDE_MULTIPLE
 from .tensor import Tensor, block_mean2, mirror_pad
@@ -57,8 +56,14 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
 
         delta_ij - (1/9) * (1 + (I_i - mu_k)^T (S_k + eps/9 I)^-1 (I_j - mu_k)).
 
-    Rows sum to zero and the assembled matrix is PSD with at most 25 nonzeros
-    per row (pixels interact within a 5x5 neighborhood).
+    Rows sum to zero and the assembled matrix is PSD. A window couples
+    pixels at most 2 apart, so L has 25 diagonals, one per offset (dy, dx)
+    in [-2, 2]^2. Position p of every window at once is one slice of the
+    image, so the values of one (p, q) pair over all windows form one
+    vector, added with one slice into plane q - p of a (5, 5, h, w) array;
+    81 such adds assemble L. The CSR is read off the planes: row i holds
+    every offset that stays inside the image, in column order and explicit
+    zeros included, which is the structure of the summed window blocks.
     """
     data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != 3:
@@ -66,25 +71,49 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     _, h, w = data.shape
     if h < 3 or w < 3:
         raise ValueError("image smaller than one 3x3 window")
-    if data.min() < 0.0 or data.max() > 1.0:
+    if not (0.0 <= data.min() and data.max() <= 1.0):     # NaN fails too
         raise ValueError("pixel values must lie in [0, 1]")
-    img = np.moveaxis(data, 0, 2)                     # (h, w, 3)
-    n = h * w
-    idx = np.arange(n).reshape(h, w)
-    win_idx = sliding_window_view(idx, (3, 3)).reshape(-1, 9)
-    win_pix = img.reshape(n, 3)[win_idx]              # (K, 9, 3)
-    mu = win_pix.mean(axis=1, keepdims=True)
-    xc = win_pix - mu
-    cov = np.einsum("kpi,kpj->kij", xc, xc) / 9.0
+    hk, wk = h - 2, w - 2                             # window top-left corners
+    # xc[p, c, k]: channel c of pixel p (row-major in the 3x3 window) of
+    # window k, less the window mean
+    xc = np.stack([data[:, a:a + hk, b:b + wk]
+                   for a in range(3) for b in range(3)])
+    xc -= xc.mean(axis=0)
+    xc = xc.reshape(9, 3, hk * wk)
+    xk = xc.transpose(2, 0, 1)                        # (K, 9, 3) view
+    cov = np.matmul(xk.transpose(0, 2, 1), xk) / 9.0
     inv = np.linalg.inv(cov + (epsilon / 9.0) * np.eye(3))
-    quad = np.einsum("kpi,kij,kqj->kpq", xc, inv, xc)
-    vals = np.eye(9)[None, :, :] - (1.0 + quad) / 9.0
-    rows = np.broadcast_to(win_idx[:, :, None], vals.shape).ravel()
-    cols = np.broadcast_to(win_idx[:, None, :], vals.shape).ravel()
-    mat = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    xi = np.ascontiguousarray(np.matmul(xk, inv).transpose(1, 2, 0))
+    planes = np.zeros((5, 5, h, w))
+    for p in range(9):
+        pa, pb = divmod(p, 3)
+        for q in range(9):
+            qa, qb = divmod(q, 3)
+            quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(hk, wk)
+            planes[qa - pa + 2, qb - pb + 2, pa:pa + hk, pb:pb + wk] += (
+                float(p == q) - (1.0 + quad) / 9.0)
+    del xc, xk, xi                                    # before the CSR copies
+    mat = _offset_csr(planes)
     lap = SparseLaplacian(mat, h, w)
     lap.lambda_max = estimate_lambda_max(lap)
     return lap
+
+
+def _offset_csr(planes) -> sp.csr_matrix:
+    """CSR of the (h*w)^2 matrix whose entry (i, i + dy*w + dx) is
+    planes[dy + 2, dx + 2] at pixel i, for every in-bounds offset."""
+    _, _, h, w = planes.shape
+    ys = np.arange(h)[:, None] + np.arange(-2, 3)     # (h, 5) row of i + dy
+    xs = np.arange(w)[:, None] + np.arange(-2, 3)     # (w, 5) col of i + dx
+    in_y, in_x = (ys >= 0) & (ys < h), (xs >= 0) & (xs < w)
+    inside = in_y[:, None, :, None] & in_x[None, :, None, :]   # (h, w, 5, 5)
+    row_nnz = np.outer(in_y.sum(axis=1), in_x.sum(axis=1)).ravel()
+    index = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(h * w + 1, dtype=index)
+    np.cumsum(row_nnz, out=indptr[1:])
+    cols = (ys.astype(index) * w)[:, None, :, None] + xs.astype(index)[None, :, None, :]
+    return sp.csr_matrix((planes.transpose(2, 3, 0, 1)[inside], cols[inside],
+                          indptr), shape=(h * w, h * w))
 
 
 def estimate_lambda_max(lap: SparseLaplacian) -> float:

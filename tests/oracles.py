@@ -1,10 +1,13 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written as plain loop nests or dense linear
-algebra, sharing no code path with the library implementations it checks.
+Everything here is deliberately written as plain loop nests, dense linear
+algebra or, for the matting Laplacian's sparse structure, COO triplets summed
+by scipy, sharing no code path with the library implementations it checks.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def reflect_index(i, n):
@@ -151,6 +154,24 @@ def matting_laplacian_dense(img, eps):
                     val = (1.0 if p == q else 0.0) - (1.0 + xc[p] @ inv @ xc[q]) / 9.0
                     lap[i, j] += val
     return lap
+
+
+def matting_laplacian_coo(img, eps):
+    """Matting Laplacian CSR from COO triplets: the (9, 9) block of every
+    window, with its 81 (row, col) pairs, summed by tocsr."""
+    _, h, w = img.shape
+    n = h * w
+    idx = np.arange(n).reshape(h, w)
+    win_idx = sliding_window_view(idx, (3, 3)).reshape(-1, 9)
+    win_pix = np.moveaxis(img, 0, 2).reshape(n, 3)[win_idx]     # (K, 9, 3)
+    xc = win_pix - win_pix.mean(axis=1, keepdims=True)
+    cov = np.einsum("kpi,kpj->kij", xc, xc) / 9.0
+    inv = np.linalg.inv(cov + (eps / 9.0) * np.eye(3))
+    quad = np.einsum("kpi,kij,kqj->kpq", xc, inv, xc)
+    vals = np.eye(9)[None, :, :] - (1.0 + quad) / 9.0
+    rows = np.broadcast_to(win_idx[:, :, None], vals.shape).ravel()
+    cols = np.broadcast_to(win_idx[:, None, :], vals.shape).ravel()
+    return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def spectral_filter_dense(lap_dense, response_fn, signal):

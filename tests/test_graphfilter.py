@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gradstyle.graphfilter import (
+    DEFAULT_MATTING_EPS,
     ChebFilter,
     SparseLaplacian,
     apply_poly_filter,
@@ -19,6 +22,23 @@ from gradstyle.tensor import mirror_pad
 
 def random_rgb(seed, h=8, w=8):
     return np.random.default_rng(seed).uniform(0.0, 1.0, (3, h, w))
+
+
+def make_image(kind, h, w, rng):
+    """A random, constant or two-colour checkerboard (3, h, w) image."""
+    if kind == "random":
+        return rng.uniform(0.0, 1.0, (3, h, w))
+    if kind == "constant":
+        return np.broadcast_to(rng.uniform(0.0, 1.0, (3, 1, 1)), (3, h, w))
+    board = np.indices((h, w)).sum(axis=0) % 2
+    return np.where(board, rng.uniform(0.0, 1.0, (3, 1, 1)),
+                    rng.uniform(0.0, 1.0, (3, 1, 1)))
+
+
+def offset_nnz(h, w):
+    """Entries of an h x w image's 25-offset pattern that fall inside it."""
+    return sum((h - abs(dy)) * (w - abs(dx))
+               for dy in range(-2, 3) for dx in range(-2, 3))
 
 
 class TestMattingLaplacian:
@@ -58,6 +78,45 @@ class TestMattingLaplacian:
         with pytest.raises(ValueError, match="0, 1"):
             matting_laplacian(np.full((3, 4, 4), 1.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        img = np.full((3, 4, 4), 0.5)
+        img[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="0, 1"):
+            matting_laplacian(img)
+
+    @pytest.mark.parametrize("kind", ["random", "constant", "checkerboard"])
+    @pytest.mark.parametrize("h, w", [(3, 3), (3, 11), (10, 3), (7, 9),
+                                      (64, 64)])
+    def test_matches_coo_oracle(self, kind, h, w):
+        img = make_image(kind, h, w, np.random.default_rng(h * w))
+        mat = matting_laplacian(img).mat
+        ref = oracles.matting_laplacian_coo(img, DEFAULT_MATTING_EPS)
+        assert mat.indptr.dtype == ref.indptr.dtype
+        assert mat.indices.dtype == ref.indices.dtype
+        np.testing.assert_array_equal(mat.indptr, ref.indptr)
+        np.testing.assert_array_equal(mat.indices, ref.indices)
+        tol = 1e-10 * max(1.0, np.abs(ref.data).max())
+        assert np.max(np.abs(mat.data - ref.data)) <= tol
+        # every pair of pixels at most 2 apart in both axes shares a window
+        assert mat.nnz == offset_nnz(h, w)
+
+    def test_nnz_closed_form_at_256(self):
+        mat = matting_laplacian(random_rgb(5, 256, 256)).mat
+        assert mat.nnz == offset_nnz(256, 256) == 1_623_076
+
+    def test_peak_memory_bounded(self):
+        # the 25-plane assembly peaks near 13 MB here; one that holds 81
+        # int64 (row, col) pairs and a value per window peaks at 82.6 MB
+        img = random_rgb(3, 128, 128)
+        tracemalloc.start()
+        try:
+            matting_laplacian(img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 9), st.integers(3, 9),
@@ -66,16 +125,7 @@ class TestMattingLaplacian:
 def test_every_window_adds_trace_at_least_5(h, w, kind, seed):
     # each window's block I - M_k has trace 8 - tr((S + eps/9 I)^-1 S) > 5,
     # so no matting Laplacian is the zero matrix
-    rng = np.random.default_rng(seed)
-    if kind == "random":
-        img = rng.uniform(0.0, 1.0, (3, h, w))
-    elif kind == "constant":
-        img = np.broadcast_to(rng.uniform(0.0, 1.0, (3, 1, 1)), (3, h, w))
-    else:
-        board = np.indices((h, w)).sum(axis=0) % 2
-        img = np.where(board, rng.uniform(0.0, 1.0, (3, 1, 1)),
-                       rng.uniform(0.0, 1.0, (3, 1, 1)))
-    lap = matting_laplacian(img)
+    lap = matting_laplacian(make_image(kind, h, w, np.random.default_rng(seed)))
     assert lap.mat.diagonal().sum() >= 5 * (h - 2) * (w - 2)
     assert lap.lambda_max > 0.0
 
@@ -238,6 +288,14 @@ class TestPyramid:
     def test_level_dimensions(self):
         pyr = build_pyramid(np.random.default_rng(0).uniform(0, 1, (3, 32, 32)))
         assert [lap.n for lap in pyr.laplacians] == [1024, 256, 64, 16]
+
+    def test_nan_pixel_rejected_as_out_of_range(self):
+        # NaN fails both `min() < 0` and `max() > 1`; let through, it
+        # surfaces as "need 0 < lambda_star <= lambda_max, got nan vs nan"
+        img = random_rgb(2, 32, 32)
+        img[0, 5, 7] = np.nan
+        with pytest.raises(ValueError, match=r"pixel values must lie in \[0, 1\]"):
+            build_pyramid(img)
 
     def test_constant_filters_as_zero_eigenvector(self):
         pyr = build_pyramid(np.full((3, 16, 16), 0.25))
