@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .network import CHANNELS, SIDE_MULTIPLE
-from .tensor import Tensor, block_mean2, mirror_pad
+from .tensor import Tensor, as_float, block_mean2, mirror_pad
 
 DEFAULT_MATTING_EPS = 1e-5
 DEFAULT_ORDER = 5
@@ -30,7 +30,10 @@ class SparseLaplacian:
     """Symmetric sparse PSD matrix with spectral metadata.
 
     matvec() is the only multiplication entry point so tests can assert how
-    many sparse products an algorithm performed.
+    many sparse products an algorithm performed. It multiplies a float32
+    signal by mat32, a float32 copy of mat's values made once at
+    construction that shares mat's index arrays, so the product stays
+    float32 and no multiplication ever changes the Laplacian.
     """
 
     mat: sp.csr_matrix
@@ -38,6 +41,12 @@ class SparseLaplacian:
     width: int
     lambda_max: float = 0.0
     matvec_count: int = field(default=0, compare=False)
+    mat32: sp.csr_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = self.mat
+        self.mat32 = sp.csr_matrix((m.data.astype(np.float32), m.indices,
+                                    m.indptr), shape=m.shape)
 
     @property
     def n(self):
@@ -45,7 +54,7 @@ class SparseLaplacian:
 
     def matvec(self, x):
         self.matvec_count += 1 if x.ndim == 1 else x.shape[1]
-        return self.mat @ x
+        return (self.mat32 if x.dtype == np.float32 else self.mat) @ x
 
 
 def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLaplacian:
@@ -203,16 +212,19 @@ def apply_poly_filter(lap: SparseLaplacian, filt: ChebFilter, signal):
 
     Three-term Chebyshev recurrence on the rescaled operator; exactly
     filt.order sparse mat-vec products per signal, no dense spectral work.
+    It runs in the signal's dtype (float32 stays float32): the scale and the
+    coefficients are cast to it, since a float64 NumPy scalar would promote
+    every product to float64.
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = as_float(signal)
     if x.shape[0] != lap.n:
         raise ValueError(f"signal length {x.shape[0]} != dimension {lap.n}")
-    scale = 2.0 / filt.lambda_max
+    scale = x.dtype.type(2.0 / filt.lambda_max)
 
     def op(v):
         return scale * lap.matvec(v) - v
 
-    d = filt.coeffs
+    d = filt.coeffs.astype(x.dtype)
     y = d[0] * x
     t_prev = x
     t_cur = op(x)

@@ -11,7 +11,7 @@ applied at inference time without retraining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +87,24 @@ class UnrolledModel:
 
     def parameters(self, style_id: int | None = None) -> list[Tensor]:
         return [p for ps in self.param_groups(style_id).values() for p in ps]
+
+    def astype(self, dtype) -> UnrolledModel:
+        """A copy with every weight cast to dtype.
+
+        A weight beyond dtype's range becomes Inf, which Tensor rejects as
+        NonFiniteError.
+        """
+        def cast(t):
+            return Tensor(t.data.astype(dtype))
+
+        def convs(layers):
+            return [ConvLayer(cast(l.kernel), cast(l.bias), l.relu) for l in layers]
+
+        with np.errstate(over="ignore"):
+            return UnrolledModel(
+                convs(self.fwd), convs(self.bwd),
+                [replace(s, h=[[cast(m) for m in row] for row in s.h])
+                 for s in self.styles], self.extractor_seed)
 
 
 def layer_stacks(weight, n_styles: int):
@@ -173,11 +191,12 @@ def style_correction(feat: Tensor, h_mat: Tensor,
 
 
 def _apply_hook(hooks, level, t: Tensor) -> Tensor:
+    """The hook's output, in the map's dtype whatever the hook answers in."""
     if hooks is None:
         return t
     if _active_tape() is not None:
         raise RuntimeError("filter hooks are inference-only (no tape support)")
-    return Tensor(hooks.filter_map(level, t.data))
+    return Tensor(np.asarray(hooks.filter_map(level, t.data), dtype=t.data.dtype))
 
 
 def backward_map(corrections: list[Tensor], model: UnrolledModel,
@@ -206,10 +225,23 @@ def backward_map(corrections: list[Tensor], model: UnrolledModel,
     return cur
 
 
+def _cast(t: Tensor, dtype) -> Tensor:
+    """t in dtype; a cast that changes t cuts the tape, so it is untaped only."""
+    if t.data.dtype == dtype:
+        return t
+    if _active_tape() is not None:
+        raise RuntimeError("dtype casts are inference-only (no tape support)")
+    return Tensor(t.data.astype(dtype))
+
+
 def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
                  opts: InferenceOptions | None = None,
                  content_masks: MaskPyramid | None = None) -> Tensor:
-    """One unrolled update: x - alpha * direction(x)."""
+    """One unrolled update: x - alpha * direction(x).
+
+    The direction is computed in the dtype of the model's weights and the
+    update in x's dtype.
+    """
     if not 0 <= t < NUM_STEPS:
         raise ValueError(f"step index {t} out of range")
     if not 0 <= style_id < model.n_styles:
@@ -219,11 +251,12 @@ def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
     corrections = []
     # the features are dead once corrected: not holding them through the
     # backward pyramid lowers an untaped step's peak memory
-    for l, feat in enumerate(forward_maps(x, model)):
+    xd = _cast(x, model.fwd[0].kernel.data.dtype)
+    for l, feat in enumerate(forward_maps(xd, model)):
         m = content_masks.masks[l] if content_masks is not None else None
         corrections.append(style_correction(feat, style.h[t][l], m))
     g = backward_map(corrections, model, opts.filter_hooks)
-    return lincomb(x, g, 1.0, -opts.alpha)
+    return lincomb(x, _cast(g, x.data.dtype), 1.0, -opts.alpha)
 
 
 def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
@@ -252,6 +285,10 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
     back, as build_pyramid pads it, so filter hooks match every level. An
     optional blend mask recombines the stylized result with the input; an
     optional guided filter sharpens the result against the content.
+
+    Each step's descent direction runs in float32, on a float32 copy of the
+    weights; the iterate, the clip, the blend and the guided filter stay in
+    float64, so alpha = 0 still returns the content exactly.
     """
     opts = opts or InferenceOptions()
     data = content.data
@@ -266,7 +303,8 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
             raise ValueError(f"content mask shape {mask.shape} != image {h}x{w}")
         content_masks = build_mask_pyramid(mirror_pad(mask, SIDE_MULTIPLE),
                                            len(CHANNELS))
-    x = unroll(Tensor(padded), model, style_id, opts, content_masks)
+    x = unroll(Tensor(padded), model.astype(np.float32), style_id, opts,
+               content_masks)
     out = clip_unit(x).data[:, :h, :w]
     if opts.blend_mask is not None:
         bm = opts.blend_mask

@@ -1,10 +1,14 @@
-"""Dense float64 tensors with a fixed primitive set and tape-based reverse mode.
+"""Dense float tensors with a fixed primitive set and tape-based reverse mode.
 
 Images and feature maps are rank-3 arrays laid out (channels, height, width),
 row-major within each channel. The primitive set is closed: every operation
 used by the losses and the unrolled network is one of the functions below,
 each paired with a vector-Jacobian product so any scalar built from them can
 be differentiated by replaying the tape backward.
+
+A tensor holds float64, or float32 when it is given a float32 array; every
+primitive computes in its inputs' dtype. Training and the losses run in
+float64; only stylize's descent direction runs in float32.
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ class TapeError(RuntimeError):
     """Backward pass requested on an unusable tape/output."""
 
 
+def as_float(data) -> np.ndarray:
+    """The array as float32 if it is float32, else as float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
+
+
 def _check_finite(data, opname):
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{opname} produced non-finite values")
@@ -35,7 +45,7 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = as_float(data)
         _check_finite(arr, "Tensor")
         self.data = arr
 
@@ -258,7 +268,7 @@ def block_mean2(data: np.ndarray) -> np.ndarray:
 def _im2col(padded, kh, kw, h, w):
     """(c*kh*kw, h*w) matrix of the kh*kw shifted views of a padded map."""
     c = padded.shape[0]
-    cols = np.empty((c, kh, kw, h, w), dtype=np.float64)
+    cols = np.empty((c, kh, kw, h, w), dtype=padded.dtype)
     for dy in range(kh):
         for dx in range(kw):
             cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
@@ -349,7 +359,7 @@ def _up2(a, axis):
     first and last outputs are clamped copies of the edge inputs.
     """
     n = a.shape[axis]
-    out = np.empty(a.shape[:axis] + (2 * n,) + a.shape[axis + 1:])
+    out = np.empty(a.shape[:axis] + (2 * n,) + a.shape[axis + 1:], dtype=a.dtype)
     quarter, three_quarters = a * 0.25, a * 0.75
     lo, hi = _along(axis, slice(None, -1)), _along(axis, slice(1, None))
     out[_along(axis, 0)] = a[_along(axis, 0)]
@@ -468,7 +478,7 @@ def masked_gram(feat: Tensor, mask: np.ndarray | None = None) -> Tensor:
         fm = f2
         denom = float(n)
     else:
-        mask = np.asarray(mask, dtype=np.float64).reshape(-1)
+        mask = np.asarray(mask, dtype=f2.dtype).reshape(-1)
         if mask.shape[0] != n:
             raise ValueError(f"mask length {mask.shape[0]} != {n} pixels")
         denom = float(mask.sum())

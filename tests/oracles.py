@@ -3,11 +3,17 @@
 Everything here is deliberately written as plain loop nests, dense linear
 algebra or, for the matting Laplacian's sparse structure, COO triplets summed
 by scipy, sharing no code path with the library implementations it checks.
+The one exception is stylize_float64, the float64 reference that stylize's
+float32 descent direction is held to.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+
+from gradstyle.network import CHANNELS, SIDE_MULTIPLE, InferenceOptions, unroll
+from gradstyle.perceptual import build_mask_pyramid
+from gradstyle.tensor import Tensor, mirror_pad
 
 
 def reflect_index(i, n):
@@ -261,6 +267,22 @@ def guided_filter_reference(p, guide, radius, eps):
                 b_bar = b_all[c, i1:i2 + 1, j1:j2 + 1].sum() / cnt
                 out[c, ci, cj] = a_bar @ img[ci, cj] + b_bar
     return out
+
+
+def stylize_float64(content, model, style_id=0, opts=None):
+    """stylize with the whole descent in float64: the same pad, unroll with
+    the float64 model, clip and crop. Blend masks and the guided filter are
+    not applied."""
+    opts = opts or InferenceOptions()
+    assert opts.blend_mask is None and opts.guided is None
+    _, h, w = content.shape
+    masks = None
+    if opts.content_mask is not None:
+        masks = build_mask_pyramid(mirror_pad(opts.content_mask, SIDE_MULTIPLE),
+                                   len(CHANNELS))
+    x = unroll(Tensor(mirror_pad(content.data, SIDE_MULTIPLE)), model,
+               style_id, opts, masks)
+    return np.clip(x.data, 0.0, 1.0)[:, :h, :w]
 
 
 def rel_err(analytic, numeric, floor=1e-12):

@@ -206,6 +206,35 @@ class TestApplyPolyFilter:
         expected = f.response(0.0) * x
         assert np.max(np.abs(apply_poly_filter(lap, f, x) - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_signal_dtype(self, dtype):
+        # a float64 coefficient or scale would promote a float32 recurrence
+        # to float64 (NumPy 2 promotion of float64 scalars)
+        lap = matting_laplacian(random_rgb(6))
+        f = jackson_cheb_coeffs(5, 0.2 * lap.lambda_max, lap.lambda_max)
+        x = np.random.default_rng(6).standard_normal((lap.n, 3))
+        start = lap.matvec_count
+        out = apply_poly_filter(lap, f, x.astype(dtype))
+        assert out.dtype == dtype
+        assert lap.matvec_count - start == 5 * 3
+        ref = apply_poly_filter(lap, f, x)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    def test_float32_filtering_leaves_the_pyramid_alone(self):
+        pyramid = build_pyramid(random_rgb(7, 16, 16))
+        lap = pyramid.laplacians[0]
+        mat, mat32 = lap.mat, lap.mat32
+        values, values32 = mat.data.copy(), mat32.data.copy()
+        assert lap.mat32.dtype == np.float32
+        assert np.shares_memory(lap.mat32.indices, lap.mat.indices)
+        assert np.shares_memory(lap.mat32.indptr, lap.mat.indptr)
+        arr = np.random.default_rng(7).standard_normal((4, 16, 16))
+        out = pyramid.filter_map(0, arr.astype(np.float32))
+        assert out.dtype == np.float32
+        assert lap.mat is mat and lap.mat32 is mat32
+        np.testing.assert_array_equal(mat.data, values)
+        np.testing.assert_array_equal(mat32.data, values32)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_spectral_oracle(self, seed):
         lap = matting_laplacian(random_rgb(seed))

@@ -1,16 +1,20 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import smooth_image
+from gradstyle import tensor
 from gradstyle.graphfilter import build_pyramid
 from gradstyle.guided import GuidedFilterParams
 from gradstyle.network import (
     CHANNELS,
     NUM_STEPS,
     InferenceOptions,
+    UnrolledModel,
     backward_map,
     descent_step,
     forward_maps,
@@ -414,3 +418,139 @@ def test_untaped_stylize_builds_no_im2col_buffer(rng):
     finally:
         tracemalloc.stop()
     assert peak < 9 * 16 * 128 * 128 * 8
+
+
+def spy_dtypes(monkeypatch):
+    """(primitive name, output dtype) of every primitive evaluated from now
+    on, in order."""
+    seen = []
+    emit = tensor._emit
+
+    def spy(inputs, out_data, vjp, opname):
+        seen.append((opname, out_data.dtype))
+        return emit(inputs, out_data, vjp, opname)
+
+    monkeypatch.setattr(tensor, "_emit", spy)
+    return seen
+
+
+def photoreal_opts(x, **extra):
+    """Masked photoreal options on a square image: a content mask over its
+    left half and the content's filter pyramid, as the CLI builds them."""
+    side = x.height
+    mask = np.zeros((side, side))
+    mask[:, :side // 2] = 1.0
+    return InferenceOptions(alpha=1.2, content_mask=mask,
+                            filter_hooks=build_pyramid(x), **extra)
+
+
+def benchmark_like_model(seed):
+    """Style matrices drawn as in seeded_model and the last backward conv
+    scaled by 0.15, so few output pixels sit at a clip limit."""
+    model = seeded_model(seed)
+    model.bwd[-1].kernel.data *= 0.15
+    return model
+
+
+class TestFloat32Direction:
+    """stylize computes each step's descent direction in float32; the
+    iterate, the update, the clip, the blend and the guided filter stay
+    float64."""
+
+    # the only float64 primitives of a stylize call: each step's update
+    # x - alpha*g, then the clip
+    FLOAT64_OPS = [("lincomb", np.float64)] * NUM_STEPS + [("clamp", np.float64)]
+
+    def test_artistic_direction_is_float32(self, rng, monkeypatch):
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        model = seeded_model(21)
+        seen = spy_dtypes(monkeypatch)
+        out = stylize(x, model)
+        assert out.data.dtype == np.float64
+        assert [op for op in seen if op[1] != np.float32] == self.FLOAT64_OPS
+        assert len(seen) > 10 * NUM_STEPS
+        # the weights the caller passed are not touched
+        assert all(p.data.dtype == np.float64 for p in model.parameters())
+
+    def test_masked_photoreal_direction_is_float32(self, monkeypatch):
+        x = smooth_image(np.random.default_rng(22), 32, waves=4)
+        blend = np.linspace(0.0, 1.0, 32 * 32).reshape(32, 32)
+        opts = photoreal_opts(x, blend_mask=blend,
+                              guided=GuidedFilterParams(radius=2))
+        pyramid = opts.filter_hooks
+        answers = []
+
+        def filter_map(level, arr):
+            out = type(pyramid).filter_map(pyramid, level, arr)
+            answers.append((arr.dtype, out.dtype))
+            return out
+
+        pyramid.filter_map = filter_map
+        seen = spy_dtypes(monkeypatch)
+        out = stylize(x, seeded_model(22), 0, opts)
+        assert out.data.dtype == np.float64
+        assert [op for op in seen if op[1] != np.float32] == self.FLOAT64_OPS
+        # 4 corrections and 4 conv outputs per step, every one filtered in
+        # float32
+        assert answers == [(np.float32, np.float32)] * (8 * NUM_STEPS)
+
+    def test_float64_hook_answer_is_cast_back(self, rng, monkeypatch):
+        class Float64Hooks:
+            def filter_map(self, level, arr):
+                return arr.astype(np.float64)
+
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        model = seeded_model(23)
+        seen = spy_dtypes(monkeypatch)
+        hooked = stylize(x, model, 0, InferenceOptions(filter_hooks=Float64Hooks()))
+        assert [op for op in seen if op[1] != np.float32] == self.FLOAT64_OPS
+        # float32 -> float64 -> float32 is exact, so the hook is a no-op
+        np.testing.assert_array_equal(hooked.data, stylize(x, model).data)
+
+    def test_cast_under_a_tape_is_refused(self, rng):
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        with GradTape(), pytest.raises(RuntimeError, match="inference-only"):
+            descent_step(x, 0, seeded_model(24).astype(np.float32))
+
+    def test_astype_copies_every_weight(self):
+        model = seeded_model(25)
+        model32 = model.astype(np.float32)
+        assert isinstance(model32, UnrolledModel)
+        assert ([l.relu for l in model32.fwd + model32.bwd]
+                == [l.relu for l in model.fwd + model.bwd])
+        for a, b in zip(model.parameters(), model32.parameters()):
+            assert b.data.dtype == np.float32 and b is not a
+            np.testing.assert_array_equal(b.data, a.data.astype(np.float32))
+
+    def test_weight_beyond_float32_is_non_finite(self):
+        model = seeded_model(26)
+        model.bwd[0].bias.data[0] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                model.astype(np.float32)
+
+
+def quantize(img):
+    """The 8-bit levels imagecodec writes."""
+    return np.floor(img * 255.0 + 0.5).astype(int)
+
+
+# Largest |stylize - stylize_float64| measured on the two cases below:
+# 7.0e-8 (artistic) and 5.9e-8 (photoreal), with 0 8-bit levels changed;
+# the bound leaves a factor of about 7.
+FLOAT32_BOUND = 5e-7
+
+
+@pytest.mark.parametrize("photoreal", [False, True], ids=["artistic", "photoreal"])
+def test_stylize_matches_float64_oracle(photoreal):
+    rng = np.random.default_rng(30)
+    side = 48 if photoreal else 64
+    x = smooth_image(rng, side, waves=4)
+    opts = photoreal_opts(x) if photoreal else InferenceOptions()
+    model = benchmark_like_model(31)
+    out = stylize(x, model, 0, opts).data
+    ref = oracles.stylize_float64(x, model, 0, opts)
+    assert np.mean((ref == 0.0) | (ref == 1.0)) < 0.25     # 8-10% clip
+    assert np.max(np.abs(quantize(out) - quantize(ref))) <= 1
+    assert np.max(np.abs(out - ref)) <= FLOAT32_BOUND

@@ -363,3 +363,41 @@ class TestXavier:
         bound = np.sqrt(6.0 / (100 * 9 + 100 * 9))
         assert abs(w.mean()) <= 0.01 * bound
         assert abs(w.var() - bound ** 2 / 3.0) <= 0.1 * bound ** 2 / 3.0
+
+
+class TestDtype:
+    def test_float32_is_kept(self):
+        arr = np.ones((1, 2, 2), dtype=np.float32)
+        assert Tensor(arr).data is arr
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float16])
+    def test_other_dtypes_become_float64(self, dtype):
+        assert Tensor(np.ones((1, 2, 2), dtype=dtype)).data.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["conv_taps", "conv_cols", "pool", "up",
+                                      "masked_gram", "chan_matmul", "lincomb",
+                                      "relu"])
+    def test_primitives_keep_float32(self, kind, rng):
+        data, mat = rng.standard_normal((4, 6, 6)), rng.standard_normal((4, 4))
+        mask = (np.arange(36) % 3 > 0).astype(float)
+        # fewer outputs than inputs takes the tap GEMM, more the im2col one
+        layers = {"conv_taps": make_layer(rng, 2, 4),
+                  "conv_cols": make_layer(rng, 6, 4)}
+
+        def run(dtype):
+            x = Tensor(data.astype(dtype))
+            if kind in layers:
+                layer = layers[kind]
+                return conv2d_reflect(x, ConvLayer(
+                    Tensor(layer.kernel.data.astype(dtype)),
+                    Tensor(layer.bias.data.astype(dtype)), relu=True))
+            return {"pool": lambda: avg_pool2(x),
+                    "up": lambda: bilinear_up2(x),
+                    "masked_gram": lambda: masked_gram(x, mask),
+                    "chan_matmul": lambda: chan_matmul(x, Tensor(mat.astype(dtype))),
+                    "lincomb": lambda: lincomb(x, x, 0.5, -2.0),
+                    "relu": lambda: relu(x)}[kind]()
+
+        out32, out64 = run(np.float32).data, run(np.float64).data
+        assert out32.dtype == np.float32 and out64.dtype == np.float64
+        np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_image
+from gradstyle import tensor
 from gradstyle.imagecodec import write_ppm
 from gradstyle.network import init_model
 from gradstyle.perceptual import (
@@ -172,6 +173,22 @@ class TestTrain:
         for a, b in zip(r1.model.parameters(), r2.model.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
         assert [r.total for r in r1.rows] == [r.total for r in r2.rows]
+
+    def test_runs_in_float64(self, tmp_path, rng, monkeypatch):
+        # stylize's float32 direction must not reach training: every
+        # primitive of the taped steps and of the validation rows is float64
+        seen = set()
+        emit = tensor._emit
+
+        def spy(inputs, out_data, vjp, opname):
+            seen.add((tensor._active_tape() is not None, out_data.dtype))
+            return emit(inputs, out_data, vjp, opname)
+
+        monkeypatch.setattr(tensor, "_emit", spy)
+        train(init_model(4), [(smooth_image(rng, 32), None)],
+              make_content_dir(tmp_path), TrainConfig(epochs=1, side=16))
+        f64 = np.dtype(np.float64)
+        assert seen == {(True, f64), (False, f64)}
 
     def test_weights_actually_move(self, tmp_path, rng):
         contents = make_content_dir(tmp_path)
