@@ -5,12 +5,14 @@ defines a graph on which photorealistic results are smooth signals. Ideal
 low-pass filtering below a threshold eigenvalue projects onto the bandlimited
 subspace; at scale this is approximated by a damped Chebyshev polynomial of
 the sparse Laplacian, so filtering costs exactly `order` sparse mat-vec
-products per signal.
+products per signal. The Laplacian is stored as its 25 diagonals, and a
+feature map is filtered one contiguous channel at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,36 +27,67 @@ LAMBDA_MAX_ITERS = 200
 LAMBDA_MAX_TOL = 1e-4
 
 
+def _stencil_offsets(width):
+    """(5, 5) flat offsets dy*width + dx of the pixels at most 2 away."""
+    return np.arange(-2, 3)[:, None] * width + np.arange(-2, 3)
+
+
 @dataclass
 class SparseLaplacian:
-    """Symmetric sparse PSD matrix with spectral metadata.
+    """Symmetric sparse PSD matrix on an h x w pixel grid, with spectral
+    metadata.
 
-    matvec() is the only multiplication entry point so tests can assert how
-    many sparse products an algorithm performed. It multiplies a float32
-    signal by mat32, a float32 copy of mat's values made once at
-    construction that shares mat's index arrays, so the product stays
-    float32 and no multiplication ever changes the Laplacian.
+    It couples pixels at most 2 apart in both axes, so it is held as a
+    float64 dia_matrix with at most 25 diagonals, at the sorted offsets
+    dy*w + dx, and a float32 copy of the diagonals, dia32, made once at
+    construction. matvec() is the only multiplication entry point, so tests
+    can assert how many sparse products an algorithm performed; it
+    multiplies a float32 signal by dia32 and any other by dia, so the
+    product keeps the signal's dtype and no multiplication ever changes the
+    Laplacian. mat is a CSR view of the same matrix, built on first access.
     """
 
-    mat: sp.csr_matrix
+    dia: sp.dia_matrix
     height: int
     width: int
     lambda_max: float = 0.0
     matvec_count: int = field(default=0, compare=False)
-    mat32: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    dia32: sp.dia_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.mat
-        self.mat32 = sp.csr_matrix((m.data.astype(np.float32), m.indices,
-                                    m.indptr), shape=m.shape)
+        d = self.dia
+        self.dia32 = sp.dia_matrix((d.data.astype(np.float32), d.offsets),
+                                   shape=d.shape)
 
     @property
     def n(self):
-        return self.mat.shape[0]
+        return self.dia.shape[0]
+
+    @cached_property
+    def mat(self) -> sp.csr_matrix:
+        """CSR of the same matrix. Row i holds every offset that stays inside
+        the image and has a diagonal, in column order, explicit zeros
+        included: the structure of the summed 3x3 window blocks."""
+        h, w, d = self.height, self.width, self.dia
+        offs = _stencil_offsets(w)
+        ys = np.arange(h)[:, None] + np.arange(-2, 3)     # (h, 5) row of i + dy
+        xs = np.arange(w)[:, None] + np.arange(-2, 3)     # (w, 5) col of i + dx
+        in_y, in_x = (ys >= 0) & (ys < h), (xs >= 0) & (xs < w)
+        inside = (in_y[:, None, :, None] & in_x[None, :, None, :]
+                  & np.isin(offs, d.offsets))             # (h, w, 5, 5)
+        row_nnz = inside.sum(axis=(2, 3)).ravel()
+        index = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(h * w + 1, dtype=index)
+        np.cumsum(row_nnz, out=indptr[1:])
+        cols = (ys.astype(index) * w)[:, None, :, None] + xs.astype(index)[None, :, None, :]
+        cols = cols[inside]
+        diag = np.broadcast_to(np.searchsorted(d.offsets, offs), inside.shape)
+        return sp.csr_matrix((d.data[diag[inside], cols], cols, indptr),
+                             shape=d.shape)
 
     def matvec(self, x):
         self.matvec_count += 1 if x.ndim == 1 else x.shape[1]
-        return (self.mat32 if x.dtype == np.float32 else self.mat) @ x
+        return (self.dia32 if x.dtype == np.float32 else self.dia) @ x
 
 
 def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLaplacian:
@@ -70,9 +103,9 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     in [-2, 2]^2. Position p of every window at once is one slice of the
     image, so the values of one (p, q) pair over all windows form one
     vector, added with one slice into plane q - p of a (5, 5, h, w) array;
-    81 such adds assemble L. The CSR is read off the planes: row i holds
-    every offset that stays inside the image, in column order and explicit
-    zeros included, which is the structure of the summed window blocks.
+    81 such adds assemble L. Each plane is then copied, shifted by its flat
+    offset dy*w + dx, into one row of a DIA matrix's diagonal storage; no
+    CSR is built.
     """
     data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != 3:
@@ -101,28 +134,33 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
             quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(hk, wk)
             planes[qa - pa + 2, qb - pb + 2, pa:pa + hk, pb:pb + wk] += (
                 float(p == q) - (1.0 + quad) / 9.0)
-    del xc, xk, xi                                    # before the CSR copies
-    mat = _offset_csr(planes)
-    lap = SparseLaplacian(mat, h, w)
+    del xc, xk, xi                                    # before the diagonals
+    lap = SparseLaplacian(_offset_dia(planes), h, w)
+    del planes
     lap.lambda_max = estimate_lambda_max(lap)
     return lap
 
 
-def _offset_csr(planes) -> sp.csr_matrix:
-    """CSR of the (h*w)^2 matrix whose entry (i, i + dy*w + dx) is
-    planes[dy + 2, dx + 2] at pixel i, for every in-bounds offset."""
+def _offset_dia(planes) -> sp.dia_matrix:
+    """DIA of the (h*w)^2 matrix whose entry (i, i + dy*w + dx) is
+    planes[dy + 2, dx + 2] at pixel i.
+
+    The offsets are sorted, so a product sums each row in column order, as a
+    CSR product does. When w <= 4 two (dy, dx) share one flat offset; their
+    planes are summed into one diagonal, which is exact, since at any pixel
+    at most one of them points inside the image.
+    """
     _, _, h, w = planes.shape
-    ys = np.arange(h)[:, None] + np.arange(-2, 3)     # (h, 5) row of i + dy
-    xs = np.arange(w)[:, None] + np.arange(-2, 3)     # (w, 5) col of i + dx
-    in_y, in_x = (ys >= 0) & (ys < h), (xs >= 0) & (xs < w)
-    inside = in_y[:, None, :, None] & in_x[None, :, None, :]   # (h, w, 5, 5)
-    row_nnz = np.outer(in_y.sum(axis=1), in_x.sum(axis=1)).ravel()
-    index = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(h * w + 1, dtype=index)
-    np.cumsum(row_nnz, out=indptr[1:])
-    cols = (ys.astype(index) * w)[:, None, :, None] + xs.astype(index)[None, :, None, :]
-    return sp.csr_matrix((planes.transpose(2, 3, 0, 1)[inside], cols[inside],
-                          indptr), shape=(h * w, h * w))
+    n = h * w
+    offs = _stencil_offsets(w).ravel()
+    uniq, slot = np.unique(offs, return_inverse=True)
+    data = np.zeros((len(uniq), n))
+    for plane, k, off in zip(planes.reshape(25, n), slot, offs):
+        if off >= 0:                                  # data[k, j] is entry (j - off, j)
+            data[k, off:] += plane[:n - off]
+        else:
+            data[k, :off] += plane[-off:]
+    return sp.dia_matrix((data, uniq), shape=(n, n))
 
 
 def estimate_lambda_max(lap: SparseLaplacian) -> float:
@@ -133,7 +171,7 @@ def estimate_lambda_max(lap: SparseLaplacian) -> float:
     0.0; a matting Laplacian never is one, since each window adds a block of
     trace 8 - tr((S_k + eps/9 I)^-1 S_k) > 5.
     """
-    n = lap.mat.shape[0]
+    n = lap.n
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -245,7 +283,8 @@ class LaplacianPyramid:
     """Laplacian + filter per backward-map scale (full, 1/2, 1/4, 1/8).
 
     filter_map() is the hook the network calls to low-pass one feature map
-    channelwise at a given level.
+    channelwise at a given level: each channel is one contiguous vector, so
+    every product is a single-vector DIA product.
     """
 
     laplacians: list[SparseLaplacian]
@@ -260,9 +299,11 @@ class LaplacianPyramid:
                 f"got {h}x{w}")
         if self.filters[level] is None:
             return arr
-        flat = arr.reshape(c, h * w).T
-        out = apply_poly_filter(lap, self.filters[level], flat)
-        return np.ascontiguousarray(out.T).reshape(c, h, w)
+        flat = as_float(arr).reshape(c, h * w)
+        out = np.empty_like(flat)
+        for ch, row in enumerate(flat):
+            out[ch] = apply_poly_filter(lap, self.filters[level], row)
+        return out.reshape(c, h, w)
 
 
 def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
@@ -285,7 +326,7 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
             img = np.clip(block_mean2(img), 0.0, 1.0)
         _, h, w = img.shape
         if h < 3 or w < 3:
-            laps.append(SparseLaplacian(sp.csr_matrix((h * w, h * w)), h, w))
+            laps.append(SparseLaplacian(sp.dia_matrix((h * w, h * w)), h, w))
             filts.append(None)
             continue
         lap = matting_laplacian(img, epsilon)

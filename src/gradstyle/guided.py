@@ -50,8 +50,9 @@ def _box_mean(arr, radius):
     j = np.arange(w)
     i1, i2 = np.maximum(i - r, 0), np.minimum(i + r, h - 1) + 1
     j1, j2 = np.maximum(j - r, 0), np.minimum(j + r, w - 1) + 1
-    sums = (integral[i2[:, None], j2[None, :]] - integral[i1[:, None], j2[None, :]]
-            - integral[i2[:, None], j1[None, :]] + integral[i1[:, None], j1[None, :]])
+    below, above = np.take(integral, i2, axis=0), np.take(integral, i1, axis=0)
+    sums = (np.take(below, j2, axis=1) - np.take(above, j2, axis=1)
+            - np.take(below, j1, axis=1) + np.take(above, j1, axis=1))
     counts = ((i2 - i1)[:, None] * (j2 - j1)[None, :]).astype(np.float64)
     out = sums / counts[:, :, None]
     return out[:, :, 0] if squeeze else out

@@ -101,6 +101,25 @@ class TestMattingLaplacian:
         # every pair of pixels at most 2 apart in both axes shares a window
         assert mat.nnz == offset_nnz(h, w)
 
+    @pytest.mark.parametrize("kind", ["random", "constant", "checkerboard"])
+    @pytest.mark.parametrize("h, w", [(3, 3), (3, 4), (4, 9), (10, 3), (7, 9),
+                                      (64, 64)])
+    def test_matvec_bit_equal_to_csr(self, kind, h, w):
+        # the diagonals are summed in column order, as a CSR row is; at
+        # w <= 4 two offsets dy*w + dx coincide and share one diagonal
+        rng = np.random.default_rng(h * w + 1)
+        lap = matting_laplacian(make_image(kind, h, w, rng))
+        assert len(lap.dia.offsets) == len(np.unique(
+            np.arange(-2, 3)[:, None] * w + np.arange(-2, 3)))
+        x = rng.standard_normal(lap.n)
+        y = lap.matvec(x)
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y, lap.mat @ x)
+        x32 = x.astype(np.float32)
+        y32 = lap.matvec(x32)
+        assert y32.dtype == np.float32
+        np.testing.assert_array_equal(y32, lap.mat.astype(np.float32) @ x32)
+
     def test_nnz_closed_form_at_256(self):
         mat = matting_laplacian(random_rgb(5, 256, 256)).mat
         assert mat.nnz == offset_nnz(256, 256) == 1_623_076
@@ -117,6 +136,21 @@ class TestMattingLaplacian:
             tracemalloc.stop()
         assert peak < 40e6
 
+    def test_pyramid_keeps_no_csr(self):
+        # float64 and float32 diagonals keep 12 bytes per slot (6.6 MB for
+        # this 4-level pyramid); a CSR with a float32 copy of its values
+        # keeps f64 values, int32 indices and f32 values, about 16 bytes per
+        # stored entry (8.6 MB)
+        img = random_rgb(4, 128, 128)
+        tracemalloc.start()
+        try:
+            pyramid = build_pyramid(img)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slots = 25 * sum(lap.n for lap in pyramid.laplacians)
+        assert kept < 14 * slots
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 9), st.integers(3, 9),
@@ -131,7 +165,7 @@ def test_every_window_adds_trace_at_least_5(h, w, kind, seed):
 
 
 def estimate_of(mat, height, width):
-    return estimate_lambda_max(SparseLaplacian(sp.csr_matrix(mat), height, width))
+    return estimate_lambda_max(SparseLaplacian(sp.dia_matrix(mat), height, width))
 
 
 class TestLambdaMax:
@@ -223,17 +257,17 @@ class TestApplyPolyFilter:
     def test_float32_filtering_leaves_the_pyramid_alone(self):
         pyramid = build_pyramid(random_rgb(7, 16, 16))
         lap = pyramid.laplacians[0]
-        mat, mat32 = lap.mat, lap.mat32
-        values, values32 = mat.data.copy(), mat32.data.copy()
-        assert lap.mat32.dtype == np.float32
-        assert np.shares_memory(lap.mat32.indices, lap.mat.indices)
-        assert np.shares_memory(lap.mat32.indptr, lap.mat.indptr)
+        dia, dia32 = lap.dia, lap.dia32
+        values, values32 = dia.data.copy(), dia32.data.copy()
+        assert dia.dtype == np.float64 and dia32.dtype == np.float32
+        np.testing.assert_array_equal(dia32.offsets, dia.offsets)
+        np.testing.assert_array_equal(dia32.data, dia.data.astype(np.float32))
         arr = np.random.default_rng(7).standard_normal((4, 16, 16))
         out = pyramid.filter_map(0, arr.astype(np.float32))
         assert out.dtype == np.float32
-        assert lap.mat is mat and lap.mat32 is mat32
-        np.testing.assert_array_equal(mat.data, values)
-        np.testing.assert_array_equal(mat32.data, values32)
+        assert lap.dia is dia and lap.dia32 is dia32
+        np.testing.assert_array_equal(dia.data, values)
+        np.testing.assert_array_equal(dia32.data, values32)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_spectral_oracle(self, seed):

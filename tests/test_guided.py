@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import smooth_image
@@ -58,6 +60,22 @@ class TestGuidedFilter:
             GuidedFilterParams(radius=0)
         with pytest.raises(ValueError):
             GuidedFilterParams(eps=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 3),
+       st.sampled_from([1, 3]), st.sampled_from([1e-4, 1e-2]),
+       st.integers(0, 2 ** 32 - 1))
+def test_windows_clamped_on_every_side(h, w, extra, channels, eps, seed):
+    # a radius of at least the image side clamps every window on both ends
+    # of both axes, so each one covers the whole image
+    rng = np.random.default_rng(seed)
+    guide = rng.uniform(0, 1, (3, h, w))
+    p = rng.uniform(0, 1, (channels, h, w))
+    radius = max(h, w) + extra
+    out = guided_filter(Tensor(p), Tensor(guide), GuidedFilterParams(radius, eps))
+    ref = oracles.guided_filter_reference(p, guide, radius, eps)
+    assert np.max(np.abs(out.data - ref)) <= 1e-8
 
 
 def test_box_ops_scale_linearly_with_pixels(rng):

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -450,6 +451,76 @@ def benchmark_like_model(seed):
     model = seeded_model(seed)
     model.bwd[-1].kernel.data *= 0.15
     return model
+
+
+def test_photoreal_stylize_builds_no_csr(monkeypatch):
+    """The pyramid is built and applied on its diagonals alone: no CSR
+    matrix is made and nothing is converted to DIA."""
+    import scipy.sparse as sp
+    from scipy.sparse._base import _spbase
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse conversion on the stylize path")
+
+    for cls in (sp.csr_matrix, sp.csr_array):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for cls in (_spbase, sp.coo_matrix, sp.coo_array):
+        monkeypatch.setattr(cls, "todia", refuse)
+    with pytest.raises(AssertionError, match="conversion"):
+        sp.csr_matrix(np.eye(2))
+    x = smooth_image(np.random.default_rng(27), 32, waves=4)
+    opts = photoreal_opts(x, guided=GuidedFilterParams(radius=2))
+    out = stylize(x, benchmark_like_model(27), 0, opts)
+    assert out.shape == x.shape
+
+
+def test_threads_share_one_pyramid(rng):
+    """Two photoreal stylize calls, one masked, share one pyramid while a
+    third thread builds its CSR view; every result is bit-equal to a serial
+    run on a pyramid of its own."""
+    x = smooth_image(np.random.default_rng(28), 32, waves=4)
+    model = benchmark_like_model(28)
+    mask = photoreal_opts(x).content_mask
+    serial_pyr = build_pyramid(x)
+    serial = {
+        "plain": stylize(x, model, 0, InferenceOptions(filter_hooks=serial_pyr)).data,
+        "masked": stylize(x, model, 0, InferenceOptions(
+            alpha=1.2, content_mask=mask, filter_hooks=serial_pyr)).data,
+        "csr": [lap.mat for lap in serial_pyr.laplacians]}
+    shared = build_pyramid(x)
+    start = threading.Barrier(3)
+    results, errors = {}, []
+
+    def run(name, fn):
+        try:
+            start.wait(timeout=60)
+            results[name] = fn()
+        except Exception as err:       # reported by the assertion below
+            errors.append(f"{name}: {err!r}")
+
+    jobs = {
+        "plain": lambda: stylize(x, model, 0, InferenceOptions(
+            filter_hooks=shared)).data,
+        "masked": lambda: stylize(x, model, 0, InferenceOptions(
+            alpha=1.2, content_mask=mask, filter_hooks=shared)).data,
+        "csr": lambda: [lap.mat for lap in shared.laplacians]}
+    threads = [threading.Thread(target=run, args=item) for item in jobs.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)      # switch threads often, mid-product too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    np.testing.assert_array_equal(results["plain"], serial["plain"])
+    np.testing.assert_array_equal(results["masked"], serial["masked"])
+    for mat, ref in zip(results["csr"], serial["csr"]):
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(mat, part), getattr(ref, part))
 
 
 class TestFloat32Direction:
