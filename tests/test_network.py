@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 
 import oracles
 from conftest import smooth_image
@@ -456,9 +458,6 @@ def benchmark_like_model(seed):
 def test_photoreal_stylize_builds_no_csr(monkeypatch):
     """The pyramid is built and applied on its diagonals alone: no CSR
     matrix is made and nothing is converted to DIA."""
-    import scipy.sparse as sp
-    from scipy.sparse._base import _spbase
-
     def refuse(*args, **kwargs):
         raise AssertionError("sparse conversion on the stylize path")
 
@@ -474,20 +473,23 @@ def test_photoreal_stylize_builds_no_csr(monkeypatch):
     assert out.shape == x.shape
 
 
-def test_threads_share_one_pyramid(rng):
+def test_threads_share_one_pyramid():
     """Two photoreal stylize calls, one masked, share one pyramid while a
     third thread builds its CSR view; every result is bit-equal to a serial
     run on a pyramid of its own."""
     x = smooth_image(np.random.default_rng(28), 32, waves=4)
     model = benchmark_like_model(28)
     mask = photoreal_opts(x).content_mask
-    serial_pyr = build_pyramid(x)
-    serial = {
-        "plain": stylize(x, model, 0, InferenceOptions(filter_hooks=serial_pyr)).data,
-        "masked": stylize(x, model, 0, InferenceOptions(
-            alpha=1.2, content_mask=mask, filter_hooks=serial_pyr)).data,
-        "csr": [lap.mat for lap in serial_pyr.laplacians]}
-    shared = build_pyramid(x)
+
+    def jobs(pyramid):
+        return {
+            "plain": lambda: stylize(x, model, 0, InferenceOptions(
+                filter_hooks=pyramid)).data,
+            "masked": lambda: stylize(x, model, 0, InferenceOptions(
+                alpha=1.2, content_mask=mask, filter_hooks=pyramid)).data,
+            "csr": lambda: [lap.mat for lap in pyramid.laplacians]}
+
+    serial = {name: fn() for name, fn in jobs(build_pyramid(x)).items()}
     start = threading.Barrier(3)
     results, errors = {}, []
 
@@ -498,15 +500,10 @@ def test_threads_share_one_pyramid(rng):
         except Exception as err:       # reported by the assertion below
             errors.append(f"{name}: {err!r}")
 
-    jobs = {
-        "plain": lambda: stylize(x, model, 0, InferenceOptions(
-            filter_hooks=shared)).data,
-        "masked": lambda: stylize(x, model, 0, InferenceOptions(
-            alpha=1.2, content_mask=mask, filter_hooks=shared)).data,
-        "csr": lambda: [lap.mat for lap in shared.laplacians]}
-    threads = [threading.Thread(target=run, args=item) for item in jobs.items()]
+    threads = [threading.Thread(target=run, args=item)
+               for item in jobs(build_pyramid(x)).items()]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)      # switch threads often, mid-product too
+    sys.setswitchinterval(1e-5)      # switch threads often
     try:
         for t in threads:
             t.start()
