@@ -280,6 +280,9 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -
 
     Fuses the layer's ReLU unless apply_activation is False (used when a
     graph filter must slot between the convolution and the nonlinearity).
+    The tape keeps only the padded input and the output: the vjp computes
+    each tap's kernel and input gradients as two GEMMs against a shifted
+    window of the flattened padded map, so it builds no column matrix.
     """
     c, h, w = x.data.shape
     kern, bias = layer.kernel, layer.bias
@@ -288,14 +291,11 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -
         raise ValueError(f"channel mismatch: input {c}, kernel expects {ci}")
     ph, pw = kh // 2, kw // 2
     padded = reflect_pad(x.data, ph, pw)
-    w2 = kern.data.reshape(co, c * kh * kw)
+    hp, wp = padded.shape[1:]
     if co < c:
         # Fewer outputs than inputs: one GEMM evaluates every tap over the
         # padded grid, a (kh*kw*co, hp*wp) buffer instead of the larger
         # (c*kh*kw, h*w) column matrix, and the shifted tap slices are summed.
-        # The columns are built only if the vjp runs.
-        cols = None
-        hp, wp = padded.shape[1:]
         taps = kern.data.transpose(2, 3, 0, 1).reshape(kh * kw * co, c)
         part = (taps @ padded.reshape(c, hp * wp)).reshape(kh, kw, co, hp, wp)
         out_data = part[0, 0, :, :h, :w].copy()
@@ -305,8 +305,8 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -
                     out_data += part[dy, dx, :, dy:dy + h, dx:dx + w]
         out_data += bias.data[:, None, None]
     else:
-        cols = _im2col(padded, kh, kw, h, w)
-        out_data = w2 @ cols
+        w2 = kern.data.reshape(co, c * kh * kw)
+        out_data = w2 @ _im2col(padded, kh, kw, h, w)
         out_data += bias.data[:, None]
         out_data = out_data.reshape(co, h, w)
     use_relu = layer.relu and apply_activation
@@ -317,16 +317,23 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -
         g2 = g.reshape(co, h * w)
         if use_relu:
             g2 = g2 * (out_data.reshape(co, h * w) > 0.0)
-        cols2 = cols if cols is not None else _im2col(padded, kh, kw, h, w)
-        g_bias = g2.sum(axis=1)
-        g_w = (g2 @ cols2.T).reshape(co, c, kh, kw)
-        g_cols = (w2.T @ g2).reshape(c, kh, kw, h, w)
-        g_padded = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
+        # On the flattened padded map tap (dy, dx) reads the contiguous
+        # window [s, s + n); g, laid on the padded row stride with zeros in
+        # the pad columns, meets each window in two GEMMs and no copies.
+        n = (h - 1) * wp + w
+        pf = padded.reshape(c, hp * wp)
+        ge = np.zeros((co, h, wp), dtype=g.dtype)
+        ge[:, :, :w] = g2.reshape(co, h, w)
+        ge = ge.reshape(co, h * wp)[:, :n]
+        g_w = np.empty((co, c, kh, kw), dtype=g.dtype)
+        g_pf = np.zeros((c, hp * wp), dtype=g.dtype)
         for dy in range(kh):
             for dx in range(kw):
-                g_padded[:, dy:dy + h, dx:dx + w] += g_cols[:, dy, dx]
-        g_x = _fold_reflect(_fold_reflect(g_padded, ph, 1), pw, 2)
-        return g_x, g_w, g_bias
+                s = dy * wp + dx
+                g_w[:, :, dy, dx] = ge @ pf[:, s:s + n].T
+                g_pf[:, s:s + n] += kern.data[:, :, dy, dx].T @ ge
+        g_x = _fold_reflect(_fold_reflect(g_pf.reshape(c, hp, wp), ph, 1), pw, 2)
+        return g_x, g_w, g2.sum(axis=1)
 
     return _emit((x, kern, bias), out_data, vjp, "conv2d_reflect")
 
@@ -343,7 +350,7 @@ def avg_pool2(x: Tensor) -> Tensor:
 
     def vjp(g):
         q = 0.25 * g
-        gx = np.empty((c, h, w), dtype=np.float64)
+        gx = np.empty((c, h, w), dtype=g.dtype)
         for dy in (0, 1):
             for dx in (0, 1):
                 gx[:, dy::2, dx::2] = q
@@ -372,7 +379,7 @@ def _up2(a, axis):
 def _up2_adjoint(g, axis):
     """Transpose of _up2 along the same axis."""
     n = g.shape[axis] // 2
-    ga = np.zeros(g.shape[:axis] + (n,) + g.shape[axis + 1:])
+    ga = np.zeros(g.shape[:axis] + (n,) + g.shape[axis + 1:], dtype=g.dtype)
     odd, even = g[_along(axis, slice(1, -1, 2))], g[_along(axis, slice(2, None, 2))]
     ga[_along(axis, slice(None, -1))] += odd * 0.75 + even * 0.25
     ga[_along(axis, slice(1, None))] += odd * 0.25 + even * 0.75
@@ -504,7 +511,7 @@ def vsum(x: Tensor) -> Tensor:
     shape = x.data.shape
 
     def vjp(g):
-        return (np.full(shape, float(g)),)
+        return (np.full(shape, g, dtype=g.dtype),)
 
     return _emit((x,), out_data, vjp, "vsum")
 

@@ -46,6 +46,45 @@ def conv_reference(x, kernel, bias, use_relu):
     return out
 
 
+def conv_vjp_reference(x, kernel, out, g, use_relu):
+    """(g_x, g_w, g_b) of a reflection-padded conv by its column matrix.
+
+    The (c*kh*kw, h*w) im2col matrix gives g_w in one GEMM; its adjoint,
+    W^T g, is scattered back tap by tap onto the padded grid, and each padded
+    entry is added onto the input pixel it mirrors. `out` is the forward
+    output, read only for the ReLU mask.
+    """
+    co, c, kh, kw = kernel.shape
+    _, h, w = x.shape
+    g2 = g.reshape(co, h * w)
+    if use_relu:
+        g2 = g2 * (out.reshape(co, h * w) > 0.0)
+    ph, pw = kh // 2, kw // 2
+    hp, wp = h + 2 * ph, w + 2 * pw
+    padded = np.empty((c, hp, wp))
+    for i in range(hp):
+        for j in range(wp):
+            padded[:, i, j] = x[:, reflect_index(i - ph, h),
+                                reflect_index(j - pw, w)]
+    cols = np.empty((c, kh, kw, h, w))
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
+    cols = cols.reshape(c * kh * kw, h * w)
+    g_w = (g2 @ cols.T).reshape(co, c, kh, kw)
+    g_cols = (kernel.reshape(co, c * kh * kw).T @ g2).reshape(c, kh, kw, h, w)
+    g_padded = np.zeros((c, hp, wp))
+    for dy in range(kh):
+        for dx in range(kw):
+            g_padded[:, dy:dy + h, dx:dx + w] += g_cols[:, dy, dx]
+    g_x = np.zeros((c, h, w))
+    for i in range(hp):
+        for j in range(wp):
+            g_x[:, reflect_index(i - ph, h),
+                reflect_index(j - pw, w)] += g_padded[:, i, j]
+    return g_x, g_w, g2.sum(axis=1)
+
+
 def pool_reference(x):
     c, h, w = x.shape
     out = np.zeros((c, h // 2, w // 2))

@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -320,6 +323,85 @@ def test_conv_vjp_is_the_adjoint(relation, seed, k, h, w):
                                rtol=1e-14)
 
 
+def _assert_conv_vjp_matches_oracle(x, layer, g):
+    out, grads = _vjp(lambda: conv2d_reflect(x, layer), g)
+    refs = oracles.conv_vjp_reference(x.data, layer.kernel.data, out, g,
+                                      layer.relu)
+    for got, ref in zip(grads, refs):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), k=st.sampled_from((1, 3)), h=SIDES,
+       w=SIDES, use_relu=st.booleans())
+@example(seed=0, k=1, h=1, w=1, use_relu=False)
+@example(seed=1, k=3, h=1, w=1, use_relu=True)
+@example(seed=2, k=3, h=2, w=7, use_relu=False)
+def test_conv_vjp_matches_column_oracle(relation, seed, k, h, w, use_relu):
+    x, layer = _conv_case(seed, relation, k, h, w, use_relu)
+    g = np.random.default_rng(seed + 1).standard_normal((layer.out_ch, h, w))
+    _assert_conv_vjp_matches_oracle(x, layer, g)
+
+
+# (in, out, side, relu) of the 13 convs a 64x64 training step runs: the
+# network's forward and backward pyramids and the loss extractor
+TRAIN_LAYERS = [(3, 16, 64, True), (16, 32, 32, True), (32, 64, 16, True),
+                (64, 128, 8, True), (128, 64, 8, True), (64, 32, 16, True),
+                (32, 16, 32, True), (16, 3, 64, False), (3, 8, 64, True),
+                (8, 16, 32, True), (16, 32, 16, True), (32, 64, 8, True),
+                (64, 64, 4, True)]
+
+
+@pytest.mark.parametrize("c,co,side,use_relu", TRAIN_LAYERS)
+def test_conv_vjp_matches_column_oracle_on_train_layers(c, co, side, use_relu):
+    rng = np.random.default_rng(c * co + side)
+    x = Tensor(rng.uniform(-1, 1, (c, side, side)))
+    layer = ConvLayer(Tensor(xavier_init_rng(rng, (co, c, 3, 3))),
+                      Tensor(0.1 * rng.standard_normal(co)), relu=use_relu)
+    _assert_conv_vjp_matches_oracle(x, layer,
+                                    rng.standard_normal((co, side, side)))
+
+
+class TestConvMemory:
+    """A taped conv keeps its padded input and output; its vjp multiplies
+    shifted windows of that input and builds no (c*9, h*w) column matrix
+    (4.7 MB in float64 for 16 input channels at 64x64)."""
+
+    @staticmethod
+    def _case(c, co):
+        rng = np.random.default_rng(c + co)
+        return (Tensor(rng.standard_normal((c, 64, 64))),
+                make_layer(rng, co, c, use_relu=True),
+                rng.standard_normal((co, 64, 64)))
+
+    def test_vjp_builds_no_column_matrix(self):
+        x, layer, g = self._case(16, 3)
+        with GradTape() as tape:
+            conv2d_reflect(x, layer)
+        vjp = tape.records[0].vjp
+        tracemalloc.start()
+        try:
+            vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_taped_conv_keeps_no_column_matrix(self):
+        x, layer, _ = self._case(16, 32)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                conv2d_reflect(x, layer)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape.records) == 1
+        assert kept < 3e6
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), c=st.integers(1, 3), h=SIDES, w=SIDES)
 @example(seed=0, c=1, h=1, w=1)
@@ -401,3 +483,28 @@ class TestDtype:
         out32, out64 = run(np.float32).data, run(np.float64).data
         assert out32.dtype == np.float32 and out64.dtype == np.float64
         np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["conv_taps", "conv_cols", "pool", "up",
+                                      "vsum"])
+    def test_vjps_keep_float32(self, kind, rng):
+        data = rng.standard_normal((4, 6, 6))
+        # fewer outputs than inputs, then more
+        layer = {"conv_taps": make_layer(rng, 2, 4, use_relu=True),
+                 "conv_cols": make_layer(rng, 6, 4, use_relu=True)}.get(kind)
+        g = rng.standard_normal({"conv_taps": (2, 6, 6), "conv_cols": (6, 6, 6),
+                                 "pool": (4, 3, 3), "up": (4, 12, 12),
+                                 "vsum": ()}[kind])
+
+        def run(dtype):
+            x = Tensor(data.astype(dtype))
+            if layer is None:
+                build = {"pool": avg_pool2, "up": bilinear_up2, "vsum": vsum}[kind]
+            else:
+                conv = ConvLayer(Tensor(layer.kernel.data.astype(dtype)),
+                                 Tensor(layer.bias.data.astype(dtype)))
+                build = partial(conv2d_reflect, layer=conv)
+            return _vjp(lambda: build(x), g.astype(dtype))[1]
+
+        for g32, g64 in zip(run(np.float32), run(np.float64), strict=True):
+            assert g32.dtype == np.float32 and g64.dtype == np.float64
+            np.testing.assert_allclose(g32, g64, rtol=1e-5, atol=1e-5)
