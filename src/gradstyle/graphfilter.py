@@ -27,11 +27,6 @@ LAMBDA_MAX_ITERS = 200
 LAMBDA_MAX_TOL = 1e-4
 
 
-def _stencil_offsets(width):
-    """(5, 5) flat offsets dy*width + dx of the pixels at most 2 away."""
-    return np.arange(-2, 3)[:, None] * width + np.arange(-2, 3)
-
-
 @dataclass
 class SparseLaplacian:
     """Symmetric sparse PSD matrix on an h x w pixel grid, with spectral
@@ -42,9 +37,10 @@ class SparseLaplacian:
     dy*w + dx, and a float32 copy of the diagonals, dia32, made once at
     construction. matvec() is the only multiplication entry point, so tests
     can assert how many sparse products an algorithm performed; it
-    multiplies a float32 signal by dia32 and any other by dia, so the
-    product keeps the signal's dtype and no multiplication ever changes the
-    Laplacian. mat is a CSR view of the same matrix, built on first access.
+    multiplies one vector per call, a float32 one by dia32 and any other by
+    dia, so the product keeps the signal's dtype and no multiplication ever
+    changes the Laplacian. mat is a CSR matrix of the stored nonzeros,
+    converted from dia on first access.
     """
 
     dia: sp.dia_matrix
@@ -65,28 +61,11 @@ class SparseLaplacian:
 
     @cached_property
     def mat(self) -> sp.csr_matrix:
-        """CSR of the same matrix. Row i holds every offset that stays inside
-        the image and has a diagonal, in column order, explicit zeros
-        included: the structure of the summed 3x3 window blocks."""
-        h, w, d = self.height, self.width, self.dia
-        offs = _stencil_offsets(w)
-        ys = np.arange(h)[:, None] + np.arange(-2, 3)     # (h, 5) row of i + dy
-        xs = np.arange(w)[:, None] + np.arange(-2, 3)     # (w, 5) col of i + dx
-        in_y, in_x = (ys >= 0) & (ys < h), (xs >= 0) & (xs < w)
-        inside = (in_y[:, None, :, None] & in_x[None, :, None, :]
-                  & np.isin(offs, d.offsets))             # (h, w, 5, 5)
-        row_nnz = inside.sum(axis=(2, 3)).ravel()
-        index = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(h * w + 1, dtype=index)
-        np.cumsum(row_nnz, out=indptr[1:])
-        cols = (ys.astype(index) * w)[:, None, :, None] + xs.astype(index)[None, :, None, :]
-        cols = cols[inside]
-        diag = np.broadcast_to(np.searchsorted(d.offsets, offs), inside.shape)
-        return sp.csr_matrix((d.data[diag[inside], cols], cols, indptr),
-                             shape=d.shape)
+        """CSR of the stored nonzeros, in column order within each row."""
+        return self.dia.tocsr()
 
     def matvec(self, x):
-        self.matvec_count += 1 if x.ndim == 1 else x.shape[1]
+        self.matvec_count += 1
         return (self.dia32 if x.dtype == np.float32 else self.dia) @ x
 
 
@@ -100,12 +79,13 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
 
     Rows sum to zero and the assembled matrix is PSD. A window couples
     pixels at most 2 apart, so L has 25 diagonals, one per offset (dy, dx)
-    in [-2, 2]^2. Position p of every window at once is one slice of the
-    image, so the values of one (p, q) pair over all windows form one
-    vector, added with one slice into plane q - p of a (5, 5, h, w) array;
-    81 such adds assemble L. Each plane is then copied, shifted by its flat
-    offset dy*w + dx, into one row of a DIA matrix's diagonal storage; no
-    CSR is built.
+    in [-2, 2]^2, at the flat offset dy*w + dx. Position p of every window
+    at once is one slice of the image, so the values of one (p, q) pair over
+    all windows form one vector. DIA storage keeps entry (i, j) at column j,
+    the q pixel, so that vector is added with one slice into the diagonal of
+    offset q - p; 81 such adds assemble L, and no other form is built. When
+    w <= 4 two (dy, dx) share one flat offset and so one diagonal, which is
+    exact: at any pixel at most one of them points inside the image.
     """
     data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != 3:
@@ -126,41 +106,25 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     cov = np.matmul(xk.transpose(0, 2, 1), xk) / 9.0
     inv = np.linalg.inv(cov + (epsilon / 9.0) * np.eye(3))
     xi = np.ascontiguousarray(np.matmul(xk, inv).transpose(1, 2, 0))
-    planes = np.zeros((5, 5, h, w))
+    # sorted offsets, so a product sums each row in column order, as a CSR
+    # product does; slot[dy + 2, dx + 2] is the diagonal of offset (dy, dx)
+    uniq, slot = np.unique(np.arange(-2, 3)[:, None] * w + np.arange(-2, 3),
+                           return_inverse=True)
+    slot = slot.reshape(5, 5)                         # NumPy 1.x returns it flat
+    diags = np.zeros((len(uniq), h, w))
     for p in range(9):
         pa, pb = divmod(p, 3)
         for q in range(9):
             qa, qb = divmod(q, 3)
             quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(hk, wk)
-            planes[qa - pa + 2, qb - pb + 2, pa:pa + hk, pb:pb + wk] += (
+            diags[slot[qa - pa + 2, qb - pb + 2], qa:qa + hk, qb:qb + wk] += (
                 float(p == q) - (1.0 + quad) / 9.0)
-    del xc, xk, xi                                    # before the diagonals
-    lap = SparseLaplacian(_offset_dia(planes), h, w)
-    del planes
+    del xc, xk, xi                                    # before the float32 copy
+    n = h * w
+    lap = SparseLaplacian(sp.dia_matrix((diags.reshape(-1, n), uniq),
+                                        shape=(n, n)), h, w)
     lap.lambda_max = estimate_lambda_max(lap)
     return lap
-
-
-def _offset_dia(planes) -> sp.dia_matrix:
-    """DIA of the (h*w)^2 matrix whose entry (i, i + dy*w + dx) is
-    planes[dy + 2, dx + 2] at pixel i.
-
-    The offsets are sorted, so a product sums each row in column order, as a
-    CSR product does. When w <= 4 two (dy, dx) share one flat offset; their
-    planes are summed into one diagonal, which is exact, since at any pixel
-    at most one of them points inside the image.
-    """
-    _, _, h, w = planes.shape
-    n = h * w
-    offs = _stencil_offsets(w).ravel()
-    uniq, slot = np.unique(offs, return_inverse=True)
-    data = np.zeros((len(uniq), n))
-    for plane, k, off in zip(planes.reshape(25, n), slot, offs):
-        if off >= 0:                                  # data[k, j] is entry (j - off, j)
-            data[k, off:] += plane[:n - off]
-        else:
-            data[k, :off] += plane[-off:]
-    return sp.dia_matrix((data, uniq), shape=(n, n))
 
 
 def estimate_lambda_max(lap: SparseLaplacian) -> float:
@@ -170,6 +134,12 @@ def estimate_lambda_max(lap: SparseLaplacian) -> float:
     LAMBDA_MAX_TOL, or after LAMBDA_MAX_ITERS products. A zero matrix yields
     0.0; a matting Laplacian never is one, since each window adds a block of
     trace 8 - tr((S_k + eps/9 I)^-1 S_k) > 5.
+
+    The estimate is not a bound. The Rayleigh quotient approaches lambda_max
+    from below, and where it converges slowly the 1% inflation can leave it
+    under lambda_max; the top of the spectrum then lies outside the
+    Chebyshev domain [0, lambda_max]. ROADMAP item 2 replaces it with the
+    analytic bound lambda_max <= 9.
     """
     n = lap.n
     rng = np.random.default_rng(0)
@@ -211,16 +181,7 @@ class ChebFilter:
     def response(self, lams) -> np.ndarray:
         """Polynomial response r(lambda), evaluated by scalar recurrence."""
         x = 2.0 * np.asarray(lams, dtype=np.float64) / self.lambda_max - 1.0
-        t_prev = np.ones_like(x)
-        t_cur = x.copy()
-        r = self.coeffs[0] * t_prev
-        if self.order >= 1:
-            r = r + self.coeffs[1] * t_cur
-        for j in range(2, self.order + 1):
-            t_next = 2.0 * x * t_cur - t_prev
-            r = r + self.coeffs[j] * t_next
-            t_prev, t_cur = t_cur, t_next
-        return r
+        return _cheb_sum(self.coeffs, lambda v: x * v, np.ones_like(x))
 
 
 def jackson_cheb_coeffs(order: int, lambda_star: float,
@@ -245,33 +206,35 @@ def jackson_cheb_coeffs(order: int, lambda_star: float,
     return ChebFilter(order, lambda_star, lambda_max, g * c)
 
 
+def _cheb_sum(coeffs, op, x):
+    """sum_j coeffs[j] * T_j(op) x by the three-term Chebyshev recurrence,
+    with len(coeffs) - 1 calls of op."""
+    y = coeffs[0] * x
+    t_prev, t_cur = x, op(x)
+    y = y + coeffs[1] * t_cur
+    for c in coeffs[2:]:
+        t_next = 2.0 * op(t_cur) - t_prev
+        y = y + c * t_next
+        t_prev, t_cur = t_cur, t_next
+    return y
+
+
 def apply_poly_filter(lap: SparseLaplacian, filt: ChebFilter, signal):
-    """Filter a signal (or the columns of a matrix) with the polynomial.
+    """Filter one signal, a vector of length lap.n, with the polynomial.
 
     Three-term Chebyshev recurrence on the rescaled operator; exactly
-    filt.order sparse mat-vec products per signal, no dense spectral work.
-    It runs in the signal's dtype (float32 stays float32): the scale and the
+    filt.order sparse mat-vec products, no dense spectral work. It runs in
+    the signal's dtype (float32 stays float32): the scale and the
     coefficients are cast to it, since a float64 NumPy scalar would promote
     every product to float64.
     """
     x = as_float(signal)
-    if x.shape[0] != lap.n:
-        raise ValueError(f"signal length {x.shape[0]} != dimension {lap.n}")
+    if x.shape != (lap.n,):
+        raise ValueError(f"signal of shape {x.shape} is not a vector of "
+                         f"length {lap.n}")
     scale = x.dtype.type(2.0 / filt.lambda_max)
-
-    def op(v):
-        return scale * lap.matvec(v) - v
-
-    d = filt.coeffs.astype(x.dtype)
-    y = d[0] * x
-    t_prev = x
-    t_cur = op(x)
-    y = y + d[1] * t_cur
-    for j in range(2, filt.order + 1):
-        t_next = 2.0 * op(t_cur) - t_prev
-        y = y + d[j] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return y
+    return _cheb_sum(filt.coeffs.astype(x.dtype),
+                     lambda v: scale * lap.matvec(v) - v, x)
 
 
 # ---------------------------------------------------------------------------

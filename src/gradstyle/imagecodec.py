@@ -20,11 +20,15 @@ class CodecError(ValueError):
     """Malformed or unsupported image file."""
 
 
+def _quantize(img: Tensor) -> np.ndarray:
+    """(h, w, 3) uint8 of a (3, h, w) [0, 1] image, rounded half up."""
+    q = np.floor(np.clip(img.data, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    return np.moveaxis(q, 0, 2)
+
+
 def encode_bytes(img: Tensor) -> bytes:
     """Quantize a (3, h, w) [0, 1] image to interleaved RGB bytes."""
-    data = np.clip(img.data, 0.0, 1.0)
-    q = np.floor(data * 255.0 + 0.5).astype(np.uint8)   # round half up
-    return np.moveaxis(q, 0, 2).tobytes()
+    return _quantize(img).tobytes()
 
 
 def decode_bytes(payload: bytes, height: int, width: int) -> Tensor:
@@ -116,7 +120,4 @@ def _read_png(path) -> Tensor:
 
 
 def _write_png(path, img: Tensor):
-    image_mod = _require_pillow()
-    data = np.clip(img.data, 0.0, 1.0)
-    q = np.floor(data * 255.0 + 0.5).astype(np.uint8)
-    image_mod.fromarray(np.moveaxis(q, 0, 2), mode="RGB").save(path)
+    _require_pillow().fromarray(_quantize(img), mode="RGB").save(path)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .guided import GuidedFilterParams, guided_filter
-from .perceptual import MaskPyramid, build_mask_pyramid, conv_pyramid, conv_stack
+from .perceptual import build_mask_pyramid, conv_pyramid, conv_stack
 from .tensor import (
     ConvLayer,
     NonFiniteError,
@@ -236,7 +236,7 @@ def _cast(t: Tensor, dtype) -> Tensor:
 
 def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
                  opts: InferenceOptions | None = None,
-                 content_masks: MaskPyramid | None = None) -> Tensor:
+                 content_masks: list[np.ndarray] | None = None) -> Tensor:
     """One unrolled update: x - alpha * direction(x).
 
     The direction is computed in the dtype of the model's weights and the
@@ -253,7 +253,7 @@ def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
     # backward pyramid lowers an untaped step's peak memory
     xd = _cast(x, model.fwd[0].kernel.data.dtype)
     for l, feat in enumerate(forward_maps(xd, model)):
-        m = content_masks.masks[l] if content_masks is not None else None
+        m = content_masks[l] if content_masks is not None else None
         corrections.append(style_correction(feat, style.h[t][l], m))
     g = backward_map(corrections, model, opts.filter_hooks)
     return lincomb(x, _cast(g, x.data.dtype), 1.0, -opts.alpha)
@@ -261,7 +261,7 @@ def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
 
 def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
            opts: InferenceOptions | None = None,
-           content_masks: MaskPyramid | None = None) -> Tensor:
+           content_masks: list[np.ndarray] | None = None) -> Tensor:
     """The network: all NUM_STEPS descent steps from x, unclipped.
 
     An overflow or invalid value inside a step raises NonFiniteError naming

@@ -9,7 +9,7 @@ weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,24 +109,12 @@ def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:
 # masks
 
 
-@dataclass
-class MaskPyramid:
-    """Per-level flat 0/1 pixel weights with cached traces."""
-
-    masks: list[np.ndarray]
-    traces: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.traces:
-            self.traces = [float(m.sum()) for m in self.masks]
-
-
-def build_mask_pyramid(mask: np.ndarray, levels: int) -> MaskPyramid:
+def build_mask_pyramid(mask: np.ndarray, levels: int) -> list[np.ndarray]:
     """Propagate a full-resolution binary mask down a halving pyramid.
 
     Each level is the block mean of the original mask at that resolution,
-    thresholded at 0.5 with ties mapping to 1. Raises if any level ends up
-    empty.
+    thresholded at 0.5 with ties mapping to 1, as flat 0/1 pixel weights.
+    Raises if any level ends up empty.
     """
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2:
@@ -145,7 +133,7 @@ def build_mask_pyramid(mask: np.ndarray, levels: int) -> MaskPyramid:
         if binary.sum() <= 0:
             raise DegenerateMaskError(f"mask is empty at pyramid level {lvl}")
         out.append(binary.reshape(-1))
-    return MaskPyramid(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +161,7 @@ def build_style_target(style: Tensor, fe: FeatureExtractor,
     energy, so different styles get a comparable initial pull; scaling the
     style features by s scales it by s^-4.
     """
-    masks = (build_mask_pyramid(mirror_pad(style_mask, fe.multiple),
-                                fe.depth).masks
+    masks = (build_mask_pyramid(mirror_pad(style_mask, fe.multiple), fe.depth)
              if style_mask is not None else [None] * fe.depth)
     feats = extract_features(Tensor(mirror_pad(style.data, fe.multiple)), fe)
     grams = [masked_gram(feats[lvl], masks[lvl]).data for lvl in fe.style_layers]
@@ -211,7 +198,7 @@ def content_loss(x_feats: list[Tensor], c_feats: list[Tensor],
 
 
 def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
-               content_masks: MaskPyramid | None = None) -> Tensor:
+               content_masks: list[np.ndarray] | None = None) -> Tensor:
     """Mean over style layers of ||Gram(F) - G||_F^2 / channels^2.
 
     content_masks, when given, restrict the Gram of the current features to a
@@ -221,7 +208,7 @@ def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
     total = None
     for i, lvl in enumerate(fe.style_layers):
         f = x_feats[lvl]
-        m = content_masks.masks[lvl] if content_masks is not None else None
+        m = content_masks[lvl] if content_masks is not None else None
         g = masked_gram(f, m)
         tgt = Tensor(target.grams[i])
         if g.shape != tgt.shape:

@@ -25,11 +25,15 @@ def random_rgb(seed, h=8, w=8):
 
 
 def make_image(kind, h, w, rng):
-    """A random, constant or two-colour checkerboard (3, h, w) image."""
+    """A random, constant, near-constant or two-colour checkerboard
+    (3, h, w) image."""
     if kind == "random":
         return rng.uniform(0.0, 1.0, (3, h, w))
     if kind == "constant":
         return np.broadcast_to(rng.uniform(0.0, 1.0, (3, 1, 1)), (3, h, w))
+    if kind == "near-constant":
+        return (rng.uniform(0.01, 0.99, (3, 1, 1))
+                + rng.uniform(-0.01, 0.01, (3, h, w)))
     board = np.indices((h, w)).sum(axis=0) % 2
     return np.where(board, rng.uniform(0.0, 1.0, (3, 1, 1)),
                     rng.uniform(0.0, 1.0, (3, 1, 1)))
@@ -164,6 +168,17 @@ def test_every_window_adds_trace_at_least_5(h, w, kind, seed):
     assert lap.lambda_max > 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9), st.integers(3, 9),
+       st.sampled_from(["random", "near-constant", "checkerboard"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_spectrum_at_most_9(h, w, kind, seed):
+    # each window adds I - M_k, whose eigenvalues lie in [0, 1], and every
+    # pixel lies in at most 9 windows
+    lap = matting_laplacian(make_image(kind, h, w, np.random.default_rng(seed)))
+    assert np.linalg.eigvalsh(lap.mat.toarray()).max() <= 9.0
+
+
 def estimate_of(mat, height, width):
     return estimate_lambda_max(SparseLaplacian(sp.dia_matrix(mat), height, width))
 
@@ -185,6 +200,14 @@ class TestLambdaMax:
 
     def test_zero_matrix_degenerate(self):
         assert estimate_of(np.zeros((4, 4)), 2, 2) == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="the 1.01x power-iteration "
+                       "estimate can fall below lambda_max (ROADMAP item 2)")
+    def test_estimate_covers_the_spectrum(self):
+        # 8.064 against 8.281: the top of the spectrum lies outside the
+        # Chebyshev domain [0, lambda_max]
+        lap = matting_laplacian(random_rgb(12, 8, 8))
+        assert lap.lambda_max >= np.linalg.eigvalsh(lap.mat.toarray()).max()
 
 
 class TestChebCoeffs:
@@ -246,11 +269,11 @@ class TestApplyPolyFilter:
         # to float64 (NumPy 2 promotion of float64 scalars)
         lap = matting_laplacian(random_rgb(6))
         f = jackson_cheb_coeffs(5, 0.2 * lap.lambda_max, lap.lambda_max)
-        x = np.random.default_rng(6).standard_normal((lap.n, 3))
+        x = np.random.default_rng(6).standard_normal(lap.n)
         start = lap.matvec_count
         out = apply_poly_filter(lap, f, x.astype(dtype))
         assert out.dtype == dtype
-        assert lap.matvec_count - start == 5 * 3
+        assert lap.matvec_count - start == 5
         ref = apply_poly_filter(lap, f, x)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
 
@@ -293,15 +316,14 @@ class TestApplyPolyFilter:
         before = lap.matvec_count
         apply_poly_filter(lap, f, np.ones(lap.n))
         assert lap.matvec_count - before == 5
-        before = lap.matvec_count
-        apply_poly_filter(lap, f, np.ones((lap.n, 7)))
-        assert lap.matvec_count - before == 5 * 7
 
     def test_dimension_mismatch_rejected(self):
         lap = matting_laplacian(random_rgb(2))
         f = jackson_cheb_coeffs(5, 0.2 * lap.lambda_max, lap.lambda_max)
         with pytest.raises(ValueError, match="length"):
             apply_poly_filter(lap, f, np.ones(5))
+        with pytest.raises(ValueError, match="length"):
+            apply_poly_filter(lap, f, np.ones((lap.n, 2)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_order50_beats_order5_against_ideal_step(self, seed):

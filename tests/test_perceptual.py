@@ -145,12 +145,10 @@ class TestStyleLoss:
         assert style_loss(xf, target, fe).item() == pytest.approx(ref, rel=1e-12)
 
     def test_empty_content_mask_rejected(self, rng):
-        from gradstyle.perceptual import MaskPyramid
         fe = make_small_extractor()
         xf = extract_features(random_image(rng), fe)
         target = build_style_target(random_image(rng), fe)
-        dead = MaskPyramid([np.zeros(64), np.ones(16), np.ones(4)],
-                           traces=[0.0, 16.0, 4.0])
+        dead = [np.zeros(64), np.ones(16), np.ones(4)]
         with pytest.raises(ValueError, match="empty"):
             style_loss(xf, target, fe, dead)
 
@@ -277,7 +275,7 @@ class TestMaskPyramid:
         fe = default_extractor(0)
         pyr = build_mask_pyramid(np.ones((32, 32)), fe.depth)
         sides = (32, 16, 8, 4, 2)
-        for mask, side in zip(pyr.masks, sides):
+        for mask, side in zip(pyr, sides):
             np.testing.assert_array_equal(mask, np.ones(side * side))
 
     def test_all_zeros_degenerate(self):
@@ -288,7 +286,7 @@ class TestMaskPyramid:
         mask = np.zeros((32, 32))
         mask[:, :16] = 1.0
         pyr = build_mask_pyramid(mask, default_extractor(0).depth)
-        for lvl, m in enumerate(pyr.masks):
+        for lvl, m in enumerate(pyr):
             side = 32 >> lvl
             expected = np.zeros((side, side))
             expected[:, :side // 2] = 1.0
@@ -305,17 +303,11 @@ class TestMaskPyramid:
                 for j in range(side):
                     block = mask[i * k:(i + 1) * k, j * k:(j + 1) * k]
                     ref[i, j] = 1.0 if block.mean() >= 0.5 else 0.0
-            np.testing.assert_array_equal(pyr.masks[lvl], ref.reshape(-1))
+            np.testing.assert_array_equal(pyr[lvl], ref.reshape(-1))
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
             build_mask_pyramid(np.full((4, 4), 0.5), 2)
-
-    def test_traces_cached(self):
-        mask = np.zeros((8, 8))
-        mask[:4] = 1.0
-        pyr = build_mask_pyramid(mask, 2)
-        assert pyr.traces == [32.0, 8.0]
 
 
 @settings(max_examples=40, deadline=None)
