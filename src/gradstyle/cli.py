@@ -33,7 +33,12 @@ from .perceptual import (
     extract_features,
     total_loss,
 )
-from .solver import DescentConfig, DivergenceError, grad_descent_stylize
+from .solver import (
+    INIT_MODES,
+    DescentConfig,
+    DivergenceError,
+    grad_descent_stylize,
+)
 from .tensor import NonFiniteError, Tensor, mirror_pad
 from .training import (
     TRAIN_SIDE_MULTIPLE,
@@ -115,7 +120,7 @@ def _build_parser():
     p.add_argument("--style-id", type=int, default=0)
     p.add_argument("--iters", type=_COUNT, required=True)
     p.add_argument("--mu", type=_POSITIVE, default=None)
-    p.add_argument("--init", choices=("content", "noise"), default="content")
+    p.add_argument("--init", choices=INIT_MODES, default="content")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
 

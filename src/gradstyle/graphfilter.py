@@ -173,7 +173,6 @@ class ChebFilter:
     step coefficients are Jackson-damped to suppress Gibbs ripple.
     """
 
-    order: int
     lambda_star: float
     lambda_max: float
     coeffs: np.ndarray                # step coefficients * Jackson damping
@@ -203,7 +202,7 @@ def jackson_cheb_coeffs(order: int, lambda_star: float,
     j_all = np.arange(order + 1)
     g = ((1.0 - j_all / (order + 2)) * np.sin(a) * np.cos(j_all * a)
          + (1.0 / (order + 2)) * np.cos(a) * np.sin(j_all * a)) / np.sin(a)
-    return ChebFilter(order, lambda_star, lambda_max, g * c)
+    return ChebFilter(lambda_star, lambda_max, g * c)
 
 
 def _cheb_sum(coeffs, op, x):
@@ -223,8 +222,8 @@ def apply_poly_filter(lap: SparseLaplacian, filt: ChebFilter, signal):
     """Filter one signal, a vector of length lap.n, with the polynomial.
 
     Three-term Chebyshev recurrence on the rescaled operator; exactly
-    filt.order sparse mat-vec products, no dense spectral work. It runs in
-    the signal's dtype (float32 stays float32): the scale and the
+    len(filt.coeffs) - 1 sparse mat-vec products, no dense spectral work.
+    It runs in the signal's dtype (float32 stays float32): the scale and the
     coefficients are cast to it, since a float64 NumPy scalar would promote
     every product to float64.
     """
@@ -286,7 +285,7 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
     img = mirror_pad(data, SIDE_MULTIPLE)
     for level in range(len(CHANNELS)):
         if level:
-            img = np.clip(block_mean2(img), 0.0, 1.0)
+            img = block_mean2(img)
         _, h, w = img.shape
         if h < 3 or w < 3:
             laps.append(SparseLaplacian(sp.dia_matrix((h * w, h * w)), h, w))

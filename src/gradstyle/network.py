@@ -71,22 +71,21 @@ class UnrolledModel:
     def n_styles(self):
         return len(self.styles)
 
-    def param_groups(self, style_id: int | None = None) -> dict[str, list[Tensor]]:
+    def param_groups(self) -> dict[str, list[Tensor]]:
         """Named parameter groups: one per conv layer, one per style matrix."""
         groups: dict[str, list[Tensor]] = {}
         for i, layer in enumerate(self.fwd):
             groups[f"fwd{i}"] = [layer.kernel, layer.bias]
         for i, layer in enumerate(self.bwd):
             groups[f"bwd{i}"] = [layer.kernel, layer.bias]
-        styles = range(self.n_styles) if style_id is None else [style_id]
-        for s in styles:
+        for s in range(self.n_styles):
             for t in range(NUM_STEPS):
                 for l in range(len(CHANNELS)):
                     groups[f"style{s}.h{t}{l}"] = [self.styles[s].h[t][l]]
         return groups
 
-    def parameters(self, style_id: int | None = None) -> list[Tensor]:
-        return [p for ps in self.param_groups(style_id).values() for p in ps]
+    def parameters(self) -> list[Tensor]:
+        return [p for ps in self.param_groups().values() for p in ps]
 
     def astype(self, dtype) -> UnrolledModel:
         """A copy with every weight cast to dtype.
@@ -208,14 +207,10 @@ def backward_map(corrections: list[Tensor], model: UnrolledModel,
     With hooks active, every correction map and every conv output (before its
     ReLU) is graph-filtered channelwise at the matching scale.
     """
-    c1, c2, c3, c4 = corrections
-    if filter_hooks is not None:
-        c1, c2, c3, c4 = (_apply_hook(filter_hooks, lvl, c)
-                          for lvl, c in enumerate((c1, c2, c3, c4)))
     cur = None
-    for i, (level, corr) in enumerate(zip((3, 2, 1, 0), (c4, c3, c2, c1))):
+    for layer, level in zip(model.bwd, reversed(range(len(corrections)))):
+        corr = _apply_hook(filter_hooks, level, corrections[level])
         x = corr if cur is None else lincomb(corr, bilinear_up2(cur), 1.0, 1.0)
-        layer = model.bwd[i]
         if filter_hooks is None:
             cur = conv2d_reflect(x, layer)
         else:

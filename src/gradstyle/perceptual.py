@@ -183,7 +183,7 @@ def build_style_target(style: Tensor, fe: FeatureExtractor,
 def content_loss(x_feats: list[Tensor], c_feats: list[Tensor],
                  fe: FeatureExtractor) -> Tensor:
     """Mean over content layers of ||F - C||_F^2 / (pixels * channels)."""
-    total = None
+    total = Tensor(np.asarray(0.0))
     for lvl in fe.content_layers:
         f, c = x_feats[lvl], c_feats[lvl]
         if f.shape != c.shape:
@@ -192,8 +192,7 @@ def content_loss(x_feats: list[Tensor], c_feats: list[Tensor],
         n = f.height * f.width
         term = sqsum(lincomb(f, c, 1.0, -1.0))
         scale = 1.0 / (len(fe.content_layers) * n * f.channels)
-        total = lincomb(term, a=scale) if total is None else \
-            lincomb(total, term, 1.0, scale)
+        total = lincomb(total, term, 1.0, scale)
     return total
 
 
@@ -205,7 +204,7 @@ def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
     semantic region; the stored target Grams already carry the style-side
     masking.
     """
-    total = None
+    total = Tensor(np.asarray(0.0))
     for i, lvl in enumerate(fe.style_layers):
         f = x_feats[lvl]
         m = content_masks[lvl] if content_masks is not None else None
@@ -216,16 +215,8 @@ def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
                              f"target {tgt.shape}")
         term = sqsum(lincomb(g, tgt, 1.0, -1.0))
         scale = 1.0 / (len(fe.style_layers) * f.channels ** 2)
-        total = lincomb(term, a=scale) if total is None else \
-            lincomb(total, term, 1.0, scale)
+        total = lincomb(total, term, 1.0, scale)
     return total
-
-
-def tv_loss(x: Tensor) -> Tensor:
-    """Anisotropic squared total variation of an image."""
-    if x.channels != 3:
-        raise ValueError("tv_loss expects a 3-channel image")
-    return tv(x)
 
 
 @dataclass
@@ -255,7 +246,7 @@ def total_loss(x4: Tensor, c_feats: list[Tensor], target: StyleTarget,
     feats = extract_features(y, fe)
     lc = content_loss(feats, c_feats, fe)
     ls = style_loss(feats, target, fe)
-    ltv = tv_loss(y)
+    ltv = tv(y)
     total = lincomb(lincomb(lc, ls, weights.lam_c, target.lam_s),
                     ltv, 1.0, weights.lam_tv)
     if not return_parts:

@@ -65,9 +65,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def copy(self):
-        return Tensor(self.data.copy())
-
     def item(self):
         return float(self.data)
 
@@ -86,14 +83,6 @@ class ConvLayer:
     kernel: Tensor
     bias: Tensor
     relu: bool = True
-
-    @property
-    def out_ch(self):
-        return self.kernel.data.shape[0]
-
-    @property
-    def in_ch(self):
-        return self.kernel.data.shape[1]
 
     def param_count(self):
         return self.kernel.data.size + self.bias.data.size
@@ -151,27 +140,23 @@ def _emit(inputs, out_data, vjp, opname):
 def backward(tape: GradTape, output: Tensor) -> dict:
     """Accumulate gradients of a scalar `output` w.r.t. every tensor on the tape.
 
-    Returns a dict keyed by Tensor identity; shapes mirror the inputs.
+    Returns a dict keyed by the tensors themselves, which hash by identity
+    (Tensor defines no __eq__); shapes mirror the inputs.
     """
     if not tape.records:
         raise TapeError("empty tape")
     if np.ndim(output.data) != 0 and output.data.size != 1:
         raise TapeError(f"backward needs a scalar output, got shape {output.data.shape}")
-    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-    by_id: dict[int, Tensor] = {id(output): output}
+    grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     for rec in reversed(tape.records):
-        g_out = grads.get(id(rec.output))
+        g_out = grads.get(rec.output)
         if g_out is None:
             continue
         for inp, g in zip(rec.inputs, rec.vjp(g_out)):
             if g is None or not isinstance(inp, Tensor):
                 continue
-            by_id[id(inp)] = inp
-            if id(inp) in grads:
-                grads[id(inp)] = grads[id(inp)] + g
-            else:
-                grads[id(inp)] = g
-    return {by_id[k]: v for k, v in grads.items()}
+            grads[inp] = grads[inp] + g if inp in grads else g
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +412,18 @@ def _scale(a, v):
     return v if a == 1.0 else a * v
 
 
-def lincomb(x: Tensor, y: Tensor | None = None, a: float = 1.0, b: float = 1.0) -> Tensor:
-    """a*x + b*y (or a*x when y is omitted); shapes must match."""
-    if y is None:
-        out_data = a * x.data
-
-        def vjp(g):
-            return (a * g,)
-
-        return _emit((x,), out_data, vjp, "lincomb")
+def lincomb(x: Tensor, y: Tensor, a: float = 1.0, b: float = 1.0) -> Tensor:
+    """a*x + b*y; shapes must match."""
     if x.data.shape != y.data.shape:
         raise ValueError(f"lincomb shape mismatch: {x.data.shape} vs {y.data.shape}")
     ax = _scale(a, x.data)
     # x - y is bit-equal to x + (-1.0 * y)
     out_data = ax - y.data if b == -1.0 else ax + _scale(b, y.data)
 
-    def vjp2(g):
+    def vjp(g):
         return a * g, b * g
 
-    return _emit((x, y), out_data, vjp2, "lincomb")
+    return _emit((x, y), out_data, vjp, "lincomb")
 
 
 def chan_matmul(feat: Tensor, m: Tensor) -> Tensor:

@@ -28,7 +28,6 @@ from .network import (
 from .perceptual import (
     DEFAULT_CHANNELS,
     LossParts,
-    StyleTarget,
     build_style_target,
     default_extractor,
     extract_features,
@@ -145,8 +144,6 @@ def load_content_set(directory, side: int):
 class TrainResult:
     model: UnrolledModel
     rows: list[LossParts]            # validation loss, indexed by epoch
-    targets: list[StyleTarget]
-    val_names: list[str]
 
 
 def _validation_row(model, val_imgs, val_feats, targets, fe):
@@ -182,10 +179,9 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
         model.styles[i].target_grams = [g.copy() for g in target.grams]
         targets.append(target)
 
-    images, names = load_content_set(contents_dir, cfg.side)
+    images, _ = load_content_set(contents_dir, cfg.side)
     n_val = max(1, len(images) // 10)
     train_imgs, val_imgs = images[:-n_val] or images[-n_val:], images[-n_val:]
-    val_names = names[-n_val:]
     train_feats = [extract_features(img, fe) for img in train_imgs]
     val_feats = [extract_features(img, fe) for img in val_imgs]
 
@@ -221,7 +217,7 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
             err.last_good = last_good
             raise err from exc
         last_good = copy.deepcopy(model)
-    return TrainResult(model, rows, targets, val_names)
+    return TrainResult(model, rows)
 
 
 def write_training_log(path, rows: list[LossParts]):

@@ -287,6 +287,7 @@ _COMPARE = ["compare", "--model", "m.ckpt", "--input", "in.ppm"]
     _COMPARE + ["--iters", "-1"],
     _COMPARE + ["--iters", "1", "--mu", "0"],
     _COMPARE + ["--iters", "1", "--mu", "nan"],
+    _COMPARE + ["--iters", "1", "--init", "bogus"],
 ], ids=lambda argv: " ".join([argv[0]] + argv[-2:]))
 def test_invalid_flag_values_exit_2(argv):
     # rejected while parsing, before any file is opened

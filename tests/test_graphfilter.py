@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from gradstyle.graphfilter import (
@@ -17,7 +18,7 @@ from gradstyle.graphfilter import (
     jackson_cheb_coeffs,
     matting_laplacian,
 )
-from gradstyle.tensor import mirror_pad
+from gradstyle.tensor import block_mean2, mirror_pad
 
 
 def random_rgb(seed, h=8, w=8):
@@ -37,6 +38,16 @@ def make_image(kind, h, w, rng):
     board = np.indices((h, w)).sum(axis=0) % 2
     return np.where(board, rng.uniform(0.0, 1.0, (3, 1, 1)),
                     rng.uniform(0.0, 1.0, (3, 1, 1)))
+
+
+def zero_one_image(kind, h, w):
+    """An all-ones, all-zeros or 0/1 checkerboard (3, h, w) image."""
+    if kind == "ones":
+        return np.ones((3, h, w))
+    if kind == "zeros":
+        return np.zeros((3, h, w))
+    board = (np.indices((h, w)).sum(axis=0) % 2).astype(np.float64)
+    return np.broadcast_to(board, (3, h, w))
 
 
 def offset_nnz(h, w):
@@ -369,6 +380,24 @@ class TestExactProjector:
             oracles.exact_projector(lap, 1.0, max_n=10)
 
 
+# even-sided (3, h, w) arrays with entries anywhere in [0, 1], ends included
+UNIT_ARRAYS = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda hw: hnp.arrays(np.float64, (3, 2 * hw[0], 2 * hw[1]),
+                          elements=st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(UNIT_ARRAYS)
+@example(zero_one_image("ones", 6, 8))
+@example(zero_one_image("zeros", 6, 8))
+@example(zero_one_image("checkerboard", 6, 8))
+def test_block_mean2_of_unit_values_stays_in_unit_interval(arr):
+    # every partial sum of four values in [0, 1] rounds to within [0, 4] and
+    # the 0.25 scale is exact, so build_pyramid needs no clip between levels
+    out = block_mean2(arr)
+    assert 0.0 <= out.min() and out.max() <= 1.0
+
+
 class TestPyramid:
     def test_level_dimensions(self):
         pyr = build_pyramid(np.random.default_rng(0).uniform(0, 1, (3, 32, 32)))
@@ -414,6 +443,12 @@ class TestPyramid:
         pyr = build_pyramid(np.random.default_rng(side).uniform(0, 1, (3, side, side)))
         assert [(lap.height, lap.width) for lap in pyr.laplacians] == [
             (side >> lvl, side >> lvl) for lvl in range(4)]
+
+    @pytest.mark.parametrize("kind", ["ones", "checkerboard"])
+    def test_extreme_images_build_every_level(self, kind):
+        # matting_laplacian rejects a level that leaves [0, 1]
+        pyr = build_pyramid(zero_one_image(kind, 32, 32))
+        assert [lap.n for lap in pyr.laplacians] == [1024, 256, 64, 16]
 
     def test_resolution_mismatch_rejected(self):
         pyr = build_pyramid(np.full((3, 16, 16), 0.5))

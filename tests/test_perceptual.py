@@ -16,7 +16,6 @@ from gradstyle.perceptual import (
     extract_features,
     style_loss,
     total_loss,
-    tv_loss,
 )
 from gradstyle.tensor import (
     ConvLayer,
@@ -25,6 +24,7 @@ from gradstyle.tensor import (
     backward,
     masked_gram,
     mirror_pad,
+    tv,
 )
 from gradstyle.perceptual import FeatureExtractor
 
@@ -155,15 +155,14 @@ class TestStyleLoss:
 
 class TestTvLoss:
     def test_constant_zero(self):
-        assert tv_loss(Tensor(np.full((3, 5, 5), 0.3))).item() == 0.0
+        assert tv(Tensor(np.full((3, 5, 5), 0.3))).item() == 0.0
 
     def test_single_squared_difference(self):
-        from gradstyle.tensor import tv
         assert tv(Tensor(np.array([[[0.0, 1.0]]]))).item() == 1.0
 
     def test_matches_double_loop_oracle(self, rng):
         x = random_image(rng, (3, 5, 6))
-        assert tv_loss(x).item() == pytest.approx(
+        assert tv(x).item() == pytest.approx(
             oracles.tv_reference(x.data), rel=1e-12)
 
 
