@@ -9,6 +9,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 
 from .graphfilter import build_pyramid
 from .guided import GuidedFilterParams
-from .imagecodec import CodecError, read_image, write_image
+from .imagecodec import read_image, write_image
 from .network import (
     NUM_STEPS,
     InferenceOptions,
@@ -88,7 +89,7 @@ def _build_parser():
     p.add_argument("--contents", required=True, help="directory of content images")
     p.add_argument("--style", required=True, action="append",
                    help="style image (repeat for multiple styles)")
-    p.add_argument("--style-mask", action="append", default=None,
+    p.add_argument("--style-mask", action="append", default=[],
                    help="binary mask for the matching --style ('none' to skip)")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--epochs", type=_COUNT, default=2)
@@ -129,8 +130,14 @@ def _build_parser():
     return parser
 
 
-def _write_manifest(path, entries: dict):
-    lines = [f"{k}={entries[k]}" for k in sorted(entries)]
+def _write_manifest(path, args, **resolved):
+    """Every flag's value, overlaid by the values the run resolved, one
+    sorted `key=value` line each; None and "" read `none`. Repeated flags
+    (list values) are left to the caller, which writes them per index."""
+    entries = {k: v for k, v in vars(args).items() if not isinstance(v, list)}
+    entries.update(resolved)
+    lines = [f"{k}={'none' if entries[k] in (None, '') else entries[k]}"
+             for k in sorted(entries)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -153,7 +160,7 @@ class StyleIdError(ValueError):
 
 
 def _cmd_train(args) -> int:
-    masks = args.style_mask or []
+    masks = args.style_mask
     if masks and len(masks) != len(args.style):
         raise StyleIdError("--style-mask count must match --style count")
     styles = []
@@ -173,18 +180,16 @@ def _cmd_train(args) -> int:
     save_checkpoint(result.model, args.out)
     write_training_log(f"{args.out}.log.csv", result.rows)
     weights = LossWeights()
-    manifest = {
-        "command": "train", "contents": args.contents, "out": args.out,
-        "epochs": cfg.epochs, "size": cfg.side, "seed": cfg.seed,
-        "lam_c": weights.lam_c, "lam_tv": weights.lam_tv, "lr": cfg.lr,
-        "noise_bound": cfg.noise_bound, "extractor_seed": model.extractor_seed,
-        "n_styles": len(styles),
-    }
+    per_style = {}
     for i, style_path in enumerate(args.style):
-        manifest[f"style{i}"] = style_path
-        manifest[f"style{i}.mask"] = masks[i] if masks else "none"
-        manifest[f"style{i}.lam_s"] = repr(result.model.styles[i].lam_s)
-    _write_manifest(f"{args.out}.manifest", manifest)
+        per_style[f"style{i}"] = style_path
+        per_style[f"style{i}.mask"] = masks[i] if masks else None
+        per_style[f"style{i}.lam_s"] = repr(result.model.styles[i].lam_s)
+    _write_manifest(f"{args.out}.manifest", args, lam_c=weights.lam_c,
+                    lam_tv=weights.lam_tv, lr=cfg.lr,
+                    noise_bound=cfg.noise_bound,
+                    extractor_seed=model.extractor_seed,
+                    n_styles=len(styles), **per_style)
     return EXIT_OK
 
 
@@ -218,20 +223,8 @@ def _cmd_stylize(args) -> int:
     )
     out = stylize(content, model, style_id, opts)
     write_image(args.output, out)
-    manifest = {
-        "command": "stylize", "model": args.model, "input": args.input,
-        "output": args.output, "style_id": style_id, "alpha": repr(alpha),
-        "photoreal": args.photoreal, "cheb_order": args.cheb_order,
-        "lambda_star_frac": repr(args.lambda_star_frac),
-        "matting_eps": repr(args.matting_eps),
-        "content_mask": args.content_mask or "none",
-        "blend_mask": args.blend_mask or "none",
-        "guided_filter": args.guided_filter, "gf_radius": args.gf_radius,
-        "gf_eps": repr(args.gf_eps),
-        "style_lam_s": repr(model.styles[style_id].lam_s),
-        **lam_info,
-    }
-    _write_manifest(f"{args.output}.manifest", manifest)
+    _write_manifest(f"{args.output}.manifest", args, alpha=alpha,
+                    style_lam_s=repr(model.styles[style_id].lam_s), **lam_info)
     return EXIT_OK
 
 
@@ -257,24 +250,16 @@ def _cmd_compare(args) -> int:
 
     rows = [("gd", i, parts) for i, parts in enumerate(result.trajectory)]
     rows.append(("network", NUM_STEPS, net_parts))
-    out_fh = open(args.out, "w", newline="", encoding="ascii") if args.out \
-        else sys.stdout
-    try:
+    with (open(args.out, "w", newline="", encoding="ascii") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out_fh:
         writer = csv.writer(out_fh)
         writer.writerow(["method", "iter", "total", "content", "style", "tv"])
         for method, it, p in rows:
             writer.writerow([method, it, repr(p.total), repr(p.content),
                              repr(p.style), repr(p.tv)])
-    finally:
-        if args.out:
-            out_fh.close()
     if args.out:
-        _write_manifest(f"{args.out}.manifest", {
-            "command": "compare", "model": args.model, "input": args.input,
-            "style_id": style_id, "iters": args.iters,
-            "mu": repr(result.mu), "init": args.init, "seed": args.seed,
-            "lam_s": repr(target.lam_s), "out": args.out,
-        })
+        _write_manifest(f"{args.out}.manifest", args, mu=repr(result.mu),
+                        lam_s=repr(target.lam_s))
     return EXIT_OK
 
 
@@ -311,7 +296,8 @@ def main(argv=None) -> int:
     except (DivergenceError, NonFiniteError) as err:
         print(f"gradstyle: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, CodecError, CheckpointError, ValueError) as err:
+    # CodecError and CheckpointError are ValueErrors
+    except (OSError, ValueError) as err:
         print(f"gradstyle: {err}", file=sys.stderr)
         return EXIT_IO
 

@@ -61,12 +61,11 @@ def _box_mean(arr, radius):
 def guided_filter(p: Tensor, guide: Tensor, params: GuidedFilterParams | None = None) -> Tensor:
     """Filter each channel of p using the 3-channel guide's local structure."""
     params = params or GuidedFilterParams()
-    pd = p.data if p.data.ndim == 3 else p.data[None]
     gd = guide.data
     if gd.shape[0] != 3:
         raise ValueError("guide must have 3 channels")
-    if pd.shape[1:] != gd.shape[1:]:
-        raise ValueError(f"shape mismatch: p {pd.shape[1:]} vs guide {gd.shape[1:]}")
+    if p.data.shape[1:] != gd.shape[1:]:
+        raise ValueError(f"shape mismatch: p {p.data.shape[1:]} vs guide {gd.shape[1:]}")
     r = params.radius
     img = np.moveaxis(gd, 0, 2)                    # (h, w, 3)
     mean_i = _box_mean(img, r)
@@ -76,12 +75,12 @@ def guided_filter(p: Tensor, guide: Tensor, params: GuidedFilterParams | None = 
     corr_ii = _box_mean(outer.reshape(h, w, 9), r).reshape(h, w, 3, 3)
     cov_ii = corr_ii - mean_i[:, :, :, None] * mean_i[:, :, None, :]
     a_mat = cov_ii + params.eps * np.eye(3)
-    out = np.empty_like(pd)
-    for c in range(pd.shape[0]):
-        pc = pd[c]
+    out = np.empty_like(p.data)
+    for c in range(p.data.shape[0]):
+        pc = p.data[c]
         mean_p = _box_mean(pc, r)
         cov_ip = _box_mean(img * pc[:, :, None], r) - mean_i * mean_p[:, :, None]
         a = np.linalg.solve(a_mat, cov_ip[:, :, :, None])[:, :, :, 0]
         b = mean_p - np.einsum("hwi,hwi->hw", a, mean_i)
         out[c] = np.einsum("hwi,hwi->hw", _box_mean(a, r), img) + _box_mean(b, r)
-    return Tensor(out if p.data.ndim == 3 else out[0])
+    return Tensor(out)

@@ -214,7 +214,7 @@ def backward_map(corrections: list[Tensor], model: UnrolledModel,
         if filter_hooks is None:
             cur = conv2d_reflect(x, layer)
         else:
-            z = conv2d_reflect(x, layer, apply_activation=False)
+            z = conv2d_reflect(x, replace(layer, relu=False))
             z = _apply_hook(filter_hooks, level, z)
             cur = relu(z) if layer.relu else z
     return cur

@@ -14,7 +14,8 @@ float64; only stylize's descent direction runs in float32.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,43 +89,35 @@ class ConvLayer:
         return self.kernel.data.size + self.bias.data.size
 
 
-@dataclass
-class _Record:
+class _Record(NamedTuple):
     inputs: tuple
     output: Tensor
     vjp: object  # callable(grad_out) -> tuple of grads aligned with inputs
 
 
-@dataclass
 class GradTape:
     """Recorded primitive applications, replayed in reverse by backward().
 
     Single-writer: one computation records and differentiates a tape; tapes
-    are not shared across concurrent computations. The stack of open tapes
-    is per thread (and per asyncio task), so a tape opened in one thread
-    never records primitives evaluated in another.
+    are not shared across concurrent computations. The open tape is per
+    thread (and per asyncio task), so a tape opened in one thread never
+    records primitives evaluated in another. Tapes nest: an inner tape
+    records while it is open, and the outer one resumes when it closes.
     """
 
-    records: list = field(default_factory=list)
+    def __init__(self):
+        self.records = []
 
     def __enter__(self):
-        _TAPES.set(_TAPES.get() + (self,))
+        self._token = _TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        stack = _TAPES.get()
-        i = max(k for k, tape in enumerate(stack) if tape is self)
-        _TAPES.set(stack[:i] + stack[i + 1:])
-        return False
+        _TAPE.reset(self._token)
 
 
-_TAPES: ContextVar[tuple[GradTape, ...]] = ContextVar("gradstyle_tapes",
-                                                       default=())
-
-
-def _active_tape():
-    stack = _TAPES.get()
-    return stack[-1] if stack else None
+_TAPE: ContextVar[GradTape | None] = ContextVar("gradstyle_tape", default=None)
+_active_tape = _TAPE.get
 
 
 def _emit(inputs, out_data, vjp, opname):
@@ -133,15 +126,17 @@ def _emit(inputs, out_data, vjp, opname):
     out.data = out_data
     tape = _active_tape()
     if tape is not None:
-        tape.records.append(_Record(tuple(inputs), out, vjp))
+        tape.records.append(_Record(inputs, out, vjp))
     return out
 
 
 def backward(tape: GradTape, output: Tensor) -> dict:
-    """Accumulate gradients of a scalar `output` w.r.t. every tensor on the tape.
+    """Gradients of a scalar `output` w.r.t. the tape's leaves: the tensors
+    on it that none of its records produced (parameters, images).
 
-    Returns a dict keyed by the tensors themselves, which hash by identity
-    (Tensor defines no __eq__); shapes mirror the inputs.
+    Keyed by the tensors themselves, which hash by identity (Tensor defines
+    no __eq__). A produced tensor's gradient is dropped once its record has
+    used it, so intermediate gradients never pile up.
     """
     if not tape.records:
         raise TapeError("empty tape")
@@ -149,12 +144,10 @@ def backward(tape: GradTape, output: Tensor) -> dict:
         raise TapeError(f"backward needs a scalar output, got shape {output.data.shape}")
     grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
     for rec in reversed(tape.records):
-        g_out = grads.get(rec.output)
+        g_out = grads.pop(rec.output, None)
         if g_out is None:
             continue
         for inp, g in zip(rec.inputs, rec.vjp(g_out)):
-            if g is None or not isinstance(inp, Tensor):
-                continue
             grads[inp] = grads[inp] + g if inp in grads else g
     return grads
 
@@ -260,14 +253,15 @@ def _im2col(padded, kh, kw, h, w):
     return cols.reshape(c * kh * kw, h * w)
 
 
-def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -> Tensor:
+def conv2d_reflect(x: Tensor, layer: ConvLayer) -> Tensor:
     """2-D convolution with reflection padding, spatial size preserved.
 
-    Fuses the layer's ReLU unless apply_activation is False (used when a
-    graph filter must slot between the convolution and the nonlinearity).
-    The tape keeps only the padded input and the output: the vjp computes
-    each tap's kernel and input gradients as two GEMMs against a shifted
-    window of the flattened padded map, so it builds no column matrix.
+    Fuses the ReLU when layer.relu is set; a caller that must act between
+    the convolution and the nonlinearity passes replace(layer, relu=False),
+    which shares the kernel and bias tensors. The tape keeps only the
+    padded input and the output: the vjp computes each tap's kernel and
+    input gradients as two GEMMs against a shifted window of the flattened
+    padded map, so it builds no column matrix.
     """
     c, h, w = x.data.shape
     kern, bias = layer.kernel, layer.bias
@@ -294,7 +288,7 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer, apply_activation: bool = True) -
         out_data = w2 @ _im2col(padded, kh, kw, h, w)
         out_data += bias.data[:, None]
         out_data = out_data.reshape(co, h, w)
-    use_relu = layer.relu and apply_activation
+    use_relu = layer.relu
     if use_relu:
         np.maximum(out_data, 0.0, out=out_data)
 

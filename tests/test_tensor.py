@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -7,12 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gradstyle.network import init_model, unroll
+from gradstyle.perceptual import (
+    build_style_target,
+    default_extractor,
+    extract_features,
+    total_loss,
+)
 from gradstyle.tensor import (
     ConvLayer,
     GradTape,
     NonFiniteError,
     TapeError,
     Tensor,
+    _active_tape,
     avg_pool2,
     backward,
     bilinear_up2,
@@ -176,6 +185,48 @@ class TestBackward:
         with pytest.raises(NonFiniteError):
             Tensor(np.array([np.nan]))
 
+    def test_result_holds_only_the_leaves(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 3)))
+        m = Tensor(rng.standard_normal((2, 2)))
+        with GradTape() as tape:
+            y = relu(chan_matmul(x, m))
+            loss = vsum(lincomb(y, x, 1.0, 0.5))
+            grads = backward(tape, loss)
+        assert set(grads) == {x, m}
+
+    def test_training_step_peak_memory(self, rng):
+        # one 64x64 training step: keeping every intermediate gradient until
+        # the end peaked at 25 MB, the leaves' gradients alone take 5.4 MB
+        model, fe = init_model(0), default_extractor(0)
+        target = build_style_target(Tensor(rng.uniform(0, 1, (3, 64, 64))), fe)
+        img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
+        c_feats = extract_features(img, fe)
+        with GradTape() as tape:
+            loss = total_loss(unroll(img, model), c_feats, target, fe)
+            tracemalloc.start()
+            try:
+                grads = backward(tape, loss)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert set(model.parameters()) <= set(grads)
+        assert peak < 12e6
+
+
+class TestNestedTapes:
+    def test_inner_tape_takes_over_while_open(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 2)))
+        with GradTape() as outer:
+            a = relu(x)
+            with GradTape() as inner:
+                assert _active_tape() is inner
+                b = relu(a)
+            assert _active_tape() is outer
+            c = relu(b)
+        assert _active_tape() is None
+        assert [r.output for r in outer.records] == [a, c]
+        assert [r.output for r in inner.records] == [b]
+
 
 def _fd_check(build, params, rng, tol=1e-4):
     """Gradient of a taped scalar vs central differences on every input."""
@@ -296,7 +347,7 @@ def _vjp(build, g):
 def test_conv_matches_oracle_for_any_shape(relation, activation, seed, k, h, w):
     use_relu, apply = ACTIVATIONS[activation]
     x, layer = _conv_case(seed, relation, k, h, w, use_relu)
-    out = conv2d_reflect(x, layer, apply_activation=apply)
+    out = conv2d_reflect(x, replace(layer, relu=use_relu and apply))
     ref = oracles.conv_reference(x.data, layer.kernel.data, layer.bias.data,
                                  use_relu and apply)
     assert np.max(np.abs(out.data - ref)) <= 1e-12
