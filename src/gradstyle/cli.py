@@ -42,6 +42,7 @@ from .solver import (
 )
 from .tensor import NonFiniteError, Tensor, mirror_pad
 from .training import (
+    NOISE_BOUND,
     TRAIN_SIDE_MULTIPLE,
     CheckpointError,
     TrainConfig,
@@ -187,7 +188,7 @@ def _cmd_train(args) -> int:
         per_style[f"style{i}.lam_s"] = repr(result.model.styles[i].lam_s)
     _write_manifest(f"{args.out}.manifest", args, lam_c=weights.lam_c,
                     lam_tv=weights.lam_tv, lr=cfg.lr,
-                    noise_bound=cfg.noise_bound,
+                    noise_bound=NOISE_BOUND,
                     extractor_seed=model.extractor_seed,
                     n_styles=len(styles), **per_style)
     return EXIT_OK

@@ -26,7 +26,7 @@ class GuidedFilterParams:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
 
 

@@ -11,7 +11,7 @@ applied at inference time without retraining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,13 +123,12 @@ def layer_stacks(weight, n_styles: int):
     return fwd, bwd, styles
 
 
-def init_model(seed: int = 0, n_styles: int = 1,
-               extractor_seed: int | None = None) -> UnrolledModel:
-    """Canonical model: Xavier conv stacks, zero style matrices."""
+def init_model(seed: int = 0, n_styles: int = 1) -> UnrolledModel:
+    """Canonical model: Xavier conv stacks, zero style matrices; the
+    extractor seed is seed."""
     fwd, bwd, styles = layer_stacks(fresh_weights(np.random.default_rng(seed)),
                                     n_styles)
-    return UnrolledModel(fwd, bwd, [StyleParams(h) for h in styles],
-                         extractor_seed=seed if extractor_seed is None else extractor_seed)
+    return UnrolledModel(fwd, bwd, [StyleParams(h) for h in styles], seed)
 
 
 def param_count(model: UnrolledModel):
@@ -146,10 +145,12 @@ class InferenceOptions:
 
     alpha scales the learned descent direction (0 leaves the input
     untouched). content_mask is a full-resolution binary image restricting
-    the style correction to a semantic region. filter_hooks is a pyramid
-    object providing filter_map(level, array); levels run full, 1/2, 1/4,
-    1/8 resolution. blend_mask softly recombines the result with the input.
-    guided, when set, guided-filters the result against the content.
+    the style correction to a semantic region; its mask pyramid, padded as
+    stylize pads the image, is built here once as content_masks and read by
+    every descent_step. filter_hooks is a pyramid object providing
+    filter_map(level, array); levels run full, 1/2, 1/4, 1/8 resolution.
+    blend_mask softly recombines the result with the input. guided, when
+    set, guided-filters the result against the content.
     """
 
     alpha: float = 1.0
@@ -157,13 +158,18 @@ class InferenceOptions:
     filter_hooks: object | None = None
     blend_mask: np.ndarray | None = None
     guided: GuidedFilterParams | None = None
+    content_masks: list[np.ndarray] | None = field(init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise ValueError("alpha must be finite and >= 0")
+        self.content_masks = (None if self.content_mask is None else
+                              build_mask_pyramid(self.content_mask,
+                                                 len(CHANNELS)))
         if self.blend_mask is not None:
             bm = np.asarray(self.blend_mask, dtype=np.float64)
-            if bm.min() < 0.0 or bm.max() > 1.0:
+            if not np.all((bm >= 0.0) & (bm <= 1.0)):
                 raise ValueError("blend mask values must lie in [0, 1]")
             self.blend_mask = bm
 
@@ -230,34 +236,30 @@ def _cast(t: Tensor, dtype) -> Tensor:
 
 
 def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
-                 opts: InferenceOptions | None = None,
-                 content_masks: list[np.ndarray] | None = None) -> Tensor:
+                 opts: InferenceOptions | None = None) -> Tensor:
     """One unrolled update: x - alpha * direction(x).
 
     The direction is computed in the dtype of the model's weights and the
-    update in x's dtype.
+    update in x's dtype. The style Grams are masked by opts.content_masks.
     """
     if not 0 <= t < NUM_STEPS:
         raise ValueError(f"step index {t} out of range")
     if not 0 <= style_id < model.n_styles:
         raise ValueError(f"style id {style_id} out of range")
     opts = opts or InferenceOptions()
-    style = model.styles[style_id]
-    corrections = []
+    masks = opts.content_masks or [None] * len(CHANNELS)
     # the features are dead once corrected: not holding them through the
     # backward pyramid lowers an untaped step's peak memory
     xd = _cast(x, model.fwd[0].kernel.data.dtype)
-    for l, feat in enumerate(forward_maps(xd, model)):
-        m = content_masks[l] if content_masks is not None else None
-        corrections.append(style_correction(feat, style.h[t][l], m))
+    corrections = [style_correction(feat, h_mat, m) for feat, h_mat, m in
+                   zip(forward_maps(xd, model), model.styles[style_id].h[t], masks)]
     g = backward_map(corrections, model, opts.filter_hooks)
     return lincomb(x, _cast(g, x.data.dtype), 1.0, -opts.alpha)
 
 
 def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
-           opts: InferenceOptions | None = None,
-           content_masks: list[np.ndarray] | None = None) -> Tensor:
-    """The network: all NUM_STEPS descent steps from x, unclipped.
+           opts: InferenceOptions | None = None) -> Tensor:
+    """The network: all NUM_STEPS descent steps from x under opts, unclipped.
 
     An overflow or invalid value inside a step raises NonFiniteError naming
     the step, in place of NumPy's warning.
@@ -265,7 +267,7 @@ def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
     for t in range(NUM_STEPS):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                x = descent_step(x, t, model, style_id, opts, content_masks)
+                x = descent_step(x, t, model, style_id, opts)
         except FloatingPointError as exc:
             raise NonFiniteError(
                 f"descent step {t} produced non-finite values: {exc}") from exc
@@ -290,22 +292,14 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
     if data.min() < 0.0 or data.max() > 1.0:
         raise ValueError("content pixels must lie in [0, 1]")
     h, w = content.height, content.width
-    padded = mirror_pad(data, SIDE_MULTIPLE)
-    content_masks = None
-    if opts.content_mask is not None:
-        mask = np.asarray(opts.content_mask, dtype=np.float64)
-        if mask.shape != (h, w):
-            raise ValueError(f"content mask shape {mask.shape} != image {h}x{w}")
-        content_masks = build_mask_pyramid(mirror_pad(mask, SIDE_MULTIPLE),
-                                           len(CHANNELS))
-    x = unroll(Tensor(padded), model.astype(np.float32), style_id, opts,
-               content_masks)
+    for name, mask in (("content", opts.content_mask), ("blend", opts.blend_mask)):
+        if mask is not None and np.shape(mask) != (h, w):
+            raise ValueError(f"{name} mask shape {np.shape(mask)} != image {h}x{w}")
+    x = unroll(Tensor(mirror_pad(data, SIDE_MULTIPLE)),
+               model.astype(np.float32), style_id, opts)
     out = clip_unit(x).data[:, :h, :w]
     if opts.blend_mask is not None:
-        bm = opts.blend_mask
-        if bm.shape != (h, w):
-            raise ValueError(f"blend mask shape {bm.shape} != image {h}x{w}")
-        out = bm[None] * out + (1.0 - bm[None]) * data
+        out = opts.blend_mask * out + (1.0 - opts.blend_mask) * data
     if opts.guided is not None:
         out = np.clip(guided_filter(Tensor(out), content, opts.guided).data,
                       0.0, 1.0)

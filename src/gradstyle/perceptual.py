@@ -112,9 +112,11 @@ def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:
 def build_mask_pyramid(mask: np.ndarray, levels: int) -> list[np.ndarray]:
     """Propagate a full-resolution binary mask down a halving pyramid.
 
-    Each level is the block mean of the original mask at that resolution,
-    thresholded at 0.5 with ties mapping to 1, as flat 0/1 pixel weights.
-    Raises if any level ends up empty.
+    The mask is mirror-padded to multiples of side_multiple(levels) first,
+    as images are padded for a pyramid of that depth. Each level is the
+    block mean of the padded mask at that resolution, thresholded at 0.5
+    with ties mapping to 1, as flat 0/1 pixel weights. Raises if any level
+    ends up empty.
     """
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2:
@@ -122,12 +124,9 @@ def build_mask_pyramid(mask: np.ndarray, levels: int) -> list[np.ndarray]:
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValueError("mask entries must be 0 or 1")
     out = []
-    cur = mask
+    cur = mirror_pad(mask, side_multiple(levels))
     for lvl in range(levels):
         if lvl > 0:
-            h, w = cur.shape
-            if h % 2 or w % 2:
-                raise ValueError("mask dims must halve cleanly at every level")
             cur = block_mean2(cur)
         binary = (cur >= 0.5).astype(np.float64)
         if binary.sum() <= 0:
@@ -161,7 +160,7 @@ def build_style_target(style: Tensor, fe: FeatureExtractor,
     energy, so different styles get a comparable initial pull; scaling the
     style features by s scales it by s^-4.
     """
-    masks = (build_mask_pyramid(mirror_pad(style_mask, fe.multiple), fe.depth)
+    masks = (build_mask_pyramid(style_mask, fe.depth)
              if style_mask is not None else [None] * fe.depth)
     feats = extract_features(Tensor(mirror_pad(style.data, fe.multiple)), fe)
     grams = [masked_gram(feats[lvl], masks[lvl]).data for lvl in fe.style_layers]

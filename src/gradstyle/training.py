@@ -39,6 +39,7 @@ from .tensor import GradTape, NonFiniteError, Tensor, backward, side_multiple
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+NOISE_BOUND = 0.1
 # training feeds every image to default_extractor, whose pyramid sets the
 # side multiple (the network's divides it)
 TRAIN_SIDE_MULTIPLE = side_multiple(len(DEFAULT_CHANNELS))
@@ -83,12 +84,11 @@ class TrainConfig:
     epochs: int = 2
     side: int = 64
     lr: float = 1e-5
-    noise_bound: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr < 0 or self.noise_bound < 0:
-            raise ValueError("epochs, lr and noise bound must be >= 0")
+        if self.epochs < 0 or self.lr < 0:
+            raise ValueError("epochs and lr must be >= 0")
         if self.side <= 0 or self.side % TRAIN_SIDE_MULTIPLE:
             raise ValueError(f"side must be a positive multiple of "
                              f"{TRAIN_SIDE_MULTIPLE}")
@@ -200,7 +200,7 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
                 img = train_imgs[idx]
                 style_i = sample_counter % len(targets)
                 sample_counter += 1
-                amp = noise_rng.uniform(0.0, cfg.noise_bound)
+                amp = noise_rng.uniform(0.0, NOISE_BOUND)
                 noise = noise_rng.uniform(-amp, amp, size=img.data.shape)
                 with GradTape() as tape:
                     x4 = unroll(Tensor(img.data + noise), model, style_i)

@@ -11,8 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gradstyle.network import CHANNELS, SIDE_MULTIPLE, InferenceOptions, unroll
-from gradstyle.perceptual import build_mask_pyramid
+from gradstyle.network import SIDE_MULTIPLE, InferenceOptions, unroll
 from gradstyle.tensor import Tensor, mirror_pad
 
 
@@ -315,12 +314,8 @@ def stylize_float64(content, model, style_id=0, opts=None):
     opts = opts or InferenceOptions()
     assert opts.blend_mask is None and opts.guided is None
     _, h, w = content.shape
-    masks = None
-    if opts.content_mask is not None:
-        masks = build_mask_pyramid(mirror_pad(opts.content_mask, SIDE_MULTIPLE),
-                                   len(CHANNELS))
     x = unroll(Tensor(mirror_pad(content.data, SIDE_MULTIPLE)), model,
-               style_id, opts, masks)
+               style_id, opts)
     return np.clip(x.data, 0.0, 1.0)[:, :h, :w]
 
 

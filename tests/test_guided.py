@@ -60,6 +60,8 @@ class TestGuidedFilter:
             GuidedFilterParams(radius=0)
         with pytest.raises(ValueError):
             GuidedFilterParams(eps=0.0)
+        with pytest.raises(ValueError):
+            GuidedFilterParams(eps=float("nan"))
 
 
 @settings(max_examples=30, deadline=None)

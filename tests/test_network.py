@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,13 @@ class TestDescentStep:
         with pytest.raises(ValueError, match="alpha"):
             InferenceOptions(alpha=alpha)
 
+    @pytest.mark.parametrize("value", [-0.5, 1.5, np.nan])
+    def test_bad_blend_mask_rejected(self, value):
+        blend = np.full((4, 4), 0.5)
+        blend[1, 2] = value
+        with pytest.raises(ValueError, match="blend mask"):
+            InferenceOptions(blend_mask=blend)
+
     def test_unroll_is_every_descent_step_in_order(self, rng):
         model = seeded_model(5)
         x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
@@ -220,6 +228,41 @@ class TestDescentStep:
         with pytest.raises(NonFiniteError,
                            match="descent step 0 produced non-finite values"):
             unroll(x, model)
+
+
+def half_mask_opts(side=16, **extra):
+    """Options whose content mask covers the left half of a square image."""
+    mask = np.zeros((side, side))
+    mask[:, :side // 2] = 1.0
+    return InferenceOptions(content_mask=mask, **extra)
+
+
+class TestContentMaskInOptions:
+    """The content mask reaches every unrolled step through
+    InferenceOptions alone, so unroll honours it as stylize does."""
+
+    def test_masked_unroll_differs_from_unmasked(self, rng):
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        model = seeded_model(17)
+        masked = unroll(x, model, 0, half_mask_opts())
+        assert not np.array_equal(masked.data, unroll(x, model).data)
+
+    def test_stylize_is_the_clipped_float32_unroll(self, rng):
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        model = seeded_model(18)
+        opts = half_mask_opts()
+        expected = np.clip(unroll(x, model.astype(np.float32), 0, opts).data,
+                           0, 1)
+        np.testing.assert_array_equal(stylize(x, model, 0, opts).data,
+                                      expected)
+
+    def test_replace_rebuilds_the_mask_pyramid(self):
+        opts = half_mask_opts()
+        assert len(opts.content_masks) == len(CHANNELS)
+        assert replace(opts, content_mask=None).content_masks is None
+        ones = replace(opts, content_mask=np.ones((16, 16))).content_masks
+        for m in ones:
+            np.testing.assert_array_equal(m, 1.0)
 
 
 class TestParamCount:
@@ -286,6 +329,13 @@ class TestStylize:
         ones = stylize(x, model, 0, InferenceOptions(content_mask=np.ones((16, 16))))
         plain = stylize(x, model)
         np.testing.assert_array_equal(ones.data, plain.data)
+
+    @pytest.mark.parametrize("name", ["content", "blend"])
+    def test_mask_of_another_size_rejected(self, rng, name):
+        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        opts = InferenceOptions(**{f"{name}_mask": np.ones((16, 8))})
+        with pytest.raises(ValueError, match=f"{name} mask shape"):
+            stylize(x, seeded_model(15), 0, opts)
 
     def test_out_of_range_pixels_rejected(self):
         with pytest.raises(ValueError, match="0, 1"):
@@ -440,11 +490,8 @@ def spy_dtypes(monkeypatch):
 def photoreal_opts(x, **extra):
     """Masked photoreal options on a square image: a content mask over its
     left half and the content's filter pyramid, as the CLI builds them."""
-    side = x.height
-    mask = np.zeros((side, side))
-    mask[:, :side // 2] = 1.0
-    return InferenceOptions(alpha=1.2, content_mask=mask,
-                            filter_hooks=build_pyramid(x), **extra)
+    return half_mask_opts(x.height, alpha=1.2, filter_hooks=build_pyramid(x),
+                          **extra)
 
 
 def benchmark_like_model(seed):

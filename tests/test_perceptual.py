@@ -304,6 +304,15 @@ class TestMaskPyramid:
                     ref[i, j] = 1.0 if block.mean() >= 0.5 else 0.0
             np.testing.assert_array_equal(pyr[lvl], ref.reshape(-1))
 
+    @pytest.mark.parametrize("levels", [3, 5])
+    def test_pads_the_mask_as_images_are_padded(self, rng, levels):
+        mask = (rng.uniform(0, 1, (21, 21)) > 0.4).astype(float)
+        got = build_mask_pyramid(mask, levels)
+        ref = build_mask_pyramid(mirror_pad(mask, 2 ** (levels - 1)), levels)
+        assert len(got) == levels
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
+
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
             build_mask_pyramid(np.full((4, 4), 0.5), 2)

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ class TestCheckpoint:
 
     def test_header_bytes(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_model(0, n_styles=2, extractor_seed=9), path)
+        save_checkpoint(replace(init_model(0, n_styles=2), extractor_seed=9), path)
         # magic, version 1, section 1, 4 levels, reserved 0, the channel
         # schedule, 2 styles, extractor seed 9, two reserved zero words
         expected = b"UNRL" + struct.pack("<HHHH4IIQII", 1, 1, 4, 0,
