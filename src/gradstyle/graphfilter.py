@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .network import CHANNELS, SIDE_MULTIPLE
-from .tensor import Tensor, as_float, block_mean2, mirror_pad
+from .tensor import Tensor, as_float, block_mean2, inv_sym3, mirror_pad
 
 DEFAULT_MATTING_EPS = 1e-5
 DEFAULT_ORDER = 5
@@ -77,15 +77,19 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
 
         delta_ij - (1/9) * (1 + (I_i - mu_k)^T (S_k + eps/9 I)^-1 (I_j - mu_k)).
 
-    Rows sum to zero and the assembled matrix is PSD. A window couples
-    pixels at most 2 apart, so L has 25 diagonals, one per offset (dy, dx)
-    in [-2, 2]^2, at the flat offset dy*w + dx. Position p of every window
-    at once is one slice of the image, so the values of one (p, q) pair over
-    all windows form one vector. DIA storage keeps entry (i, j) at column j,
-    the q pixel, so that vector is added with one slice into the diagonal of
-    offset q - p; 81 such adds assemble L, and no other form is built. When
-    w <= 4 two (dy, dx) share one flat offset and so one diagonal, which is
-    exact: at any pixel at most one of them points inside the image.
+    Rows sum to zero and the assembled matrix is PSD. epsilon must be
+    positive: S_k is singular on a flat window, and a negative epsilon
+    breaks PSD. The 3x3 inverses of all windows come from one closed-form
+    Cholesky (inv_sym3), with the window axis last throughout, and L is
+    assembled in float64. A window couples pixels at most 2 apart, so L has
+    25 diagonals, one per offset (dy, dx) in [-2, 2]^2, at the flat offset
+    dy*w + dx. Position p of every window at once is one slice of the
+    image, so the values of one (p, q) pair over all windows form one
+    vector. DIA storage keeps entry (i, j) at column j, the q pixel, so that
+    vector is added with one slice into the diagonal of offset q - p; 81
+    such adds assemble L, and no other form is built. When w <= 4 two
+    (dy, dx) share one flat offset and so one diagonal, which is exact: at
+    any pixel at most one of them points inside the image.
     """
     data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != 3:
@@ -95,6 +99,8 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
         raise ValueError("image smaller than one 3x3 window")
     if not (0.0 <= data.min() and data.max() <= 1.0):     # NaN fails too
         raise ValueError("pixel values must lie in [0, 1]")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     hk, wk = h - 2, w - 2                             # window top-left corners
     # xc[p, c, k]: channel c of pixel p (row-major in the 3x3 window) of
     # window k, less the window mean
@@ -102,10 +108,10 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
                    for a in range(3) for b in range(3)])
     xc -= xc.mean(axis=0)
     xc = xc.reshape(9, 3, hk * wk)
-    xk = xc.transpose(2, 0, 1)                        # (K, 9, 3) view
-    cov = np.matmul(xk.transpose(0, 2, 1), xk) / 9.0
-    inv = np.linalg.inv(cov + (epsilon / 9.0) * np.eye(3))
-    xi = np.ascontiguousarray(np.matmul(xk, inv).transpose(1, 2, 0))
+    cov = np.einsum("pck,pdk->cdk", xc, xc) / 9.0
+    cov[[0, 1, 2], [0, 1, 2]] += epsilon / 9.0
+    # xi[p, c, k] = ((S_k + eps/9 I)^-1 (I_p - mu_k))_c
+    xi = np.einsum("pdk,dck->pck", xc, inv_sym3(cov))
     # sorted offsets, so a product sums each row in column order, as a CSR
     # product does; slot[dy + 2, dx + 2] is the diagonal of offset (dy, dx)
     uniq, slot = np.unique(np.arange(-2, 3)[:, None] * w + np.arange(-2, 3),
@@ -119,7 +125,7 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
             quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(hk, wk)
             diags[slot[qa - pa + 2, qb - pb + 2], qa:qa + hk, qb:qb + wk] += (
                 float(p == q) - (1.0 + quad) / 9.0)
-    del xc, xk, xi                                    # before the float32 copy
+    del xc, xi                                        # before the float32 copy
     n = h * w
     lap = SparseLaplacian(sp.dia_matrix((diags.reshape(-1, n), uniq),
                                         shape=(n, n)), h, w)
@@ -130,10 +136,14 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
 def estimate_lambda_max(lap: SparseLaplacian) -> float:
     """Largest-eigenvalue estimate by seeded power iteration, inflated by 1%.
 
-    Stops when the relative Rayleigh-quotient change drops below
-    LAMBDA_MAX_TOL, or after LAMBDA_MAX_ITERS products. A zero matrix yields
-    0.0; a matting Laplacian never is one, since each window adds a block of
-    trace 8 - tr((S_k + eps/9 I)^-1 S_k) > 5.
+    The iterate is float32, so every product multiplies by dia32. The
+    float32 Chebyshev filters apply that operator, so its spectrum is the
+    one their domain must hold; its product also costs half the float64
+    one. Stops when the relative Rayleigh-quotient change drops below
+    LAMBDA_MAX_TOL, far above float32 rounding, or after LAMBDA_MAX_ITERS
+    products. A zero matrix yields 0.0; a matting Laplacian never is one,
+    since each window adds a block of trace 8 - tr((S_k + eps/9 I)^-1 S_k)
+    > 5.
 
     The estimate is not a bound. The Rayleigh quotient approaches lambda_max
     from below, and where it converges slowly the 1% inflation can leave it
@@ -144,7 +154,7 @@ def estimate_lambda_max(lap: SparseLaplacian) -> float:
     n = lap.n
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = (v / np.linalg.norm(v)).astype(np.float32)
     ray_prev = None
     ray = 0.0
     for _ in range(LAMBDA_MAX_ITERS):

@@ -3,7 +3,10 @@
 Within every box window the output is modelled as an affine function of the
 guide image; per-pixel coefficients are averaged over all covering windows.
 Box means use running sums, so the cost is linear in pixel count. Windows are
-clamped at the borders (they shrink and the sums are renormalized).
+clamped at the borders (they shrink and the sums are renormalized). The
+regularized guide covariance of every window is inverted once, in closed
+form (tensor.inv_sym3), and that inverse is shared by all channels of the
+filtered image; the filter runs in float64.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, inv_sym3
 
 # number of array elements pushed through box sums; tests assert linear scaling
 BOX_OPS = 0
@@ -74,13 +77,14 @@ def guided_filter(p: Tensor, guide: Tensor, params: GuidedFilterParams | None = 
     h, w = img.shape[:2]
     corr_ii = _box_mean(outer.reshape(h, w, 9), r).reshape(h, w, 3, 3)
     cov_ii = corr_ii - mean_i[:, :, :, None] * mean_i[:, :, None, :]
-    a_mat = cov_ii + params.eps * np.eye(3)
+    # (3, 3, h, w), shared by every channel of p
+    inv = inv_sym3((cov_ii + params.eps * np.eye(3)).transpose(2, 3, 0, 1))
     out = np.empty_like(p.data)
     for c in range(p.data.shape[0]):
         pc = p.data[c]
         mean_p = _box_mean(pc, r)
         cov_ip = _box_mean(img * pc[:, :, None], r) - mean_i * mean_p[:, :, None]
-        a = np.linalg.solve(a_mat, cov_ip[:, :, :, None])[:, :, :, 0]
+        a = np.einsum("ijhw,hwj->hwi", inv, cov_ip)
         b = mean_p - np.einsum("hwi,hwi->hw", a, mean_i)
         out[c] = np.einsum("hwi,hwi->hw", _box_mean(a, r), img) + _box_mean(b, r)
     return Tensor(out)

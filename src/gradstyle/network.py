@@ -139,7 +139,7 @@ def param_count(model: UnrolledModel):
     return fb, per_iter, total
 
 
-@dataclass
+@dataclass(eq=False)
 class InferenceOptions:
     """Runtime knobs: transfer intensity, masking, graph filtering, blending.
 
@@ -150,7 +150,8 @@ class InferenceOptions:
     every descent_step. filter_hooks is a pyramid object providing
     filter_map(level, array); levels run full, 1/2, 1/4, 1/8 resolution.
     blend_mask softly recombines the result with the input. guided, when
-    set, guided-filters the result against the content.
+    set, guided-filters the result against the content. Options compare by
+    identity, since their masks are arrays.
     """
 
     alpha: float = 1.0
@@ -158,8 +159,7 @@ class InferenceOptions:
     filter_hooks: object | None = None
     blend_mask: np.ndarray | None = None
     guided: GuidedFilterParams | None = None
-    content_masks: list[np.ndarray] | None = field(init=False, repr=False,
-                                                   compare=False)
+    content_masks: list[np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha < 0:

@@ -239,6 +239,32 @@ def block_mean2(data: np.ndarray) -> np.ndarray:
                    + data[..., 1::2, 0::2] + data[..., 1::2, 1::2])
 
 
+def inv_sym3(m: np.ndarray) -> np.ndarray:
+    """Inverses of symmetric positive-definite 3x3 matrices held as
+    m[i, j, ...]: the matrix axes first, then any plane shape.
+
+    Closed-form Cholesky, plane-wise: m = L L^T, U = L^-1, m^-1 = U^T U.
+    Only the lower triangle is read. Unlike the adjugate, whose cofactors
+    cancel when m is near rank 1, every step divides by a pivot of L, so
+    the error grows like cond(m) as it does for LAPACK's inverse.
+    """
+    l00 = np.sqrt(m[0, 0])
+    l10, l20 = m[1, 0] / l00, m[2, 0] / l00
+    l11 = np.sqrt(m[1, 1] - l10 * l10)
+    l21 = (m[2, 1] - l20 * l10) / l11
+    l22 = np.sqrt(m[2, 2] - l20 * l20 - l21 * l21)
+    u00, u11, u22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    u10 = -l10 * u00 * u11
+    u21 = -l21 * u11 * u22
+    u20 = -(l20 * u00 + l21 * u10) * u22
+    i01 = u10 * u11 + u20 * u21
+    i02 = u20 * u22
+    i12 = u21 * u22
+    return np.stack([np.stack([u00 * u00 + u10 * u10 + u20 * u20, i01, i02]),
+                     np.stack([i01, u11 * u11 + u21 * u21, i12]),
+                     np.stack([i02, i12, u22 * u22])])
+
+
 # ---------------------------------------------------------------------------
 # primitives
 

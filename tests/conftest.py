@@ -10,6 +10,16 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture
+def no_lapack_solves(monkeypatch):
+    """Make np.linalg.inv and np.linalg.solve raise: code under test must
+    solve its 3x3 systems in closed form."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("3x3 systems are solved in closed form")
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+
+
 def make_small_extractor(seed=5, channels=(4, 8, 8), style_layers=None,
                          content_layers=(1,)):
     """3-level extractor usable on 8x8 images (full depth needs 16x16)."""

@@ -275,7 +275,8 @@ def exact_projector(lap, lambda_star, max_n=4096):
 
 
 def guided_filter_reference(p, guide, radius, eps):
-    """Per-window loop implementation of the color-guide filter."""
+    """Per-window loop implementation of the color-guide filter, one
+    np.linalg.solve per window for all channels of p."""
     cp, h, w = p.shape
     img = np.moveaxis(guide, 0, 2)
     out = np.zeros_like(p)
@@ -288,13 +289,11 @@ def guided_filter_reference(p, guide, radius, eps):
             win = img[i1:i2 + 1, j1:j2 + 1].reshape(-1, 3)
             mu = win.mean(axis=0)
             cov = win.T @ win / win.shape[0] - np.outer(mu, mu)
-            inv = np.linalg.inv(cov + eps * np.eye(3))
-            for c in range(cp):
-                pw = p[c, i1:i2 + 1, j1:j2 + 1].reshape(-1)
-                cov_ip = (win * pw[:, None]).mean(axis=0) - mu * pw.mean()
-                a = inv @ cov_ip
-                a_all[c, ci, cj] = a
-                b_all[c, ci, cj] = pw.mean() - a @ mu
+            pw = p[:, i1:i2 + 1, j1:j2 + 1].reshape(cp, -1)       # (cp, n)
+            cov_ip = win.T @ pw.T / win.shape[0] - np.outer(mu, pw.mean(axis=1))
+            a = np.linalg.solve(cov + eps * np.eye(3), cov_ip).T  # (cp, 3)
+            a_all[:, ci, cj] = a
+            b_all[:, ci, cj] = pw.mean(axis=1) - a @ mu
     for ci in range(h):
         for cj in range(w):
             i1, i2 = max(ci - radius, 0), min(ci + radius, h - 1)

@@ -100,6 +100,15 @@ class TestMattingLaplacian:
         with pytest.raises(ValueError, match="0, 1"):
             matting_laplacian(img)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, np.nan])
+    def test_non_positive_epsilon_rejected(self, eps):
+        # a flat window's S_k is singular, and a negative epsilon breaks PSD
+        with pytest.raises(ValueError, match="epsilon"):
+            matting_laplacian(random_rgb(0), epsilon=eps)
+
+    def test_no_lapack_inverse_or_solve(self, no_lapack_solves):
+        matting_laplacian(random_rgb(1))
+
     @pytest.mark.parametrize("kind", ["random", "constant", "checkerboard"])
     @pytest.mark.parametrize("h, w", [(3, 3), (3, 11), (10, 3), (7, 9),
                                       (64, 64)])
@@ -211,6 +220,20 @@ class TestLambdaMax:
 
     def test_zero_matrix_degenerate(self):
         assert estimate_of(np.zeros((4, 4)), 2, 2) == 0.0
+
+    def test_iterates_on_the_float32_diagonals(self, monkeypatch):
+        # the float32 filters apply dia32, so the power iteration estimates
+        # that operator's spectrum
+        lap = matting_laplacian(random_rgb(2))
+        seen = []
+        matvec = lap.matvec
+
+        def spy(x):
+            seen.append(x.dtype)
+            return matvec(x)
+        monkeypatch.setattr(lap, "matvec", spy)
+        estimate_lambda_max(lap)
+        assert seen and set(seen) == {np.dtype(np.float32)}
 
     @pytest.mark.xfail(strict=True, reason="the 1.01x power-iteration "
                        "estimate can fall below lambda_max (ROADMAP item 2)")

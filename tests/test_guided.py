@@ -36,6 +36,28 @@ class TestGuidedFilter:
                                               params.radius, params.eps)
         assert np.max(np.abs(out.data - ref)) <= 1e-8
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8])
+    @pytest.mark.parametrize("kind", ["constant", "two-colour"])
+    def test_degenerate_guides_match_solve_oracle(self, kind, eps, rng):
+        # a constant guide has a zero covariance in every window, and a
+        # two-colour guide a rank-1 one (zero where a window sees one
+        # colour), so cov + eps*I is as ill-conditioned as eps allows
+        colours = rng.uniform(0, 1, (3, 2))
+        cols = np.arange(12) >= (12 if kind == "constant" else 5)
+        guide = np.broadcast_to(colours[:, cols.astype(int)][:, None, :],
+                                (3, 12, 12))
+        p = rng.uniform(0, 1, (3, 12, 12))
+        params = GuidedFilterParams(radius=2, eps=eps)
+        out = guided_filter(Tensor(p), Tensor(guide), params).data
+        ref = oracles.guided_filter_reference(p, guide, params.radius, eps)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - ref)) <= 1e-10
+
+    def test_no_lapack_inverse_or_solve(self, rng, no_lapack_solves):
+        guide = textured_image(rng, 12)
+        guided_filter(Tensor(rng.uniform(0, 1, (3, 12, 12))), guide,
+                      GuidedFilterParams(radius=2))
+
     def test_default_params(self):
         params = GuidedFilterParams()
         assert (params.radius, params.eps) == (8, 1e-4)

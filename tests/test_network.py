@@ -256,6 +256,14 @@ class TestContentMaskInOptions:
         np.testing.assert_array_equal(stylize(x, model, 0, opts).data,
                                       expected)
 
+    def test_options_holding_masks_compare_without_raising(self):
+        # comparing the mask arrays element-wise would raise "truth value
+        # of an array ... is ambiguous", so options compare by identity
+        a = InferenceOptions(blend_mask=np.ones((2, 2)))
+        b = InferenceOptions(blend_mask=np.ones((2, 2)))
+        assert a == a
+        assert a != b
+
     def test_replace_rebuilds_the_mask_pyramid(self):
         opts = half_mask_opts()
         assert len(opts.content_masks) == len(CHANNELS)

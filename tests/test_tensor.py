@@ -28,6 +28,7 @@ from gradstyle.tensor import (
     chan_matmul,
     clip_unit,
     conv2d_reflect,
+    inv_sym3,
     lincomb,
     masked_gram,
     relu,
@@ -561,3 +562,27 @@ class TestDtype:
         for g32, g64 in zip(run(np.float32), run(np.float64), strict=True):
             assert g32.dtype == np.float32 and g64.dtype == np.float64
             np.testing.assert_allclose(g32, g64, rtol=1e-5, atol=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(1,), (5,), (2, 4)]),
+       st.sampled_from(["general", "rank-1"]), st.floats(-6.0, 0.0))
+@example(seed=0, planes=(5,), kind="rank-1", log_delta=-6.0)
+def test_inv_sym3_matches_lapack(seed, planes, kind, log_delta):
+    # SPD stacks, down to rank 1 + delta*I with delta 1e-6 of the trace. A
+    # backward-stable inverse errs by about cond(m) * unit roundoff relative
+    # to its largest entry; the bound allows 16 times that
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(planes + (3, 1 if kind == "rank-1" else 3))
+    m = a @ np.swapaxes(a, -1, -2)
+    delta = 10.0 ** log_delta * np.trace(m, axis1=-2, axis2=-1)
+    m += delta[..., None, None] * np.eye(3)
+    got = np.moveaxis(inv_sym3(np.moveaxis(m, (-2, -1), (0, 1))), (0, 1),
+                      (-2, -1))
+    ref = np.linalg.inv(m)
+    eig = np.linalg.eigvalsh(m)
+    cond = eig[..., -1] / eig[..., 0]
+    err = (np.abs(got - ref).max(axis=(-2, -1))
+           / np.abs(ref).max(axis=(-2, -1)))
+    assert np.all(err <= 16.0 * cond * np.finfo(np.float64).eps)
+    np.testing.assert_array_equal(got, np.swapaxes(got, -1, -2))
