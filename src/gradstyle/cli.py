@@ -16,7 +16,12 @@ import sys
 
 import numpy as np
 
-from .graphfilter import build_pyramid
+from .graphfilter import (
+    DEFAULT_LAMBDA_FRAC,
+    DEFAULT_MATTING_EPS,
+    DEFAULT_ORDER,
+    build_pyramid,
+)
 from .guided import GuidedFilterParams
 from .imagecodec import read_image, write_image
 from .network import (
@@ -77,6 +82,7 @@ _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
                      "finite and > 0")
 _INTENSITY = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "finite and >= 0")
+_SEED = _checked(int, lambda v: 0 <= v < 2**64, "in [0, 2**64)")
 
 
 def _build_parser():
@@ -93,9 +99,9 @@ def _build_parser():
     p.add_argument("--style-mask", action="append", default=[],
                    help="binary mask for the matching --style ('none' to skip)")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--epochs", type=_COUNT, default=2)
-    p.add_argument("--size", type=_SIDE, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_COUNT, default=TrainConfig.epochs)
+    p.add_argument("--size", type=_SIDE, default=TrainConfig.side)
+    p.add_argument("--seed", type=_SEED, default=TrainConfig.seed)
 
     p = sub.add_parser("stylize", help="stylize one image")
     p.add_argument("--model", required=True)
@@ -106,14 +112,16 @@ def _build_parser():
                    help="transfer intensity (default 1.0, or 1.2 with --photoreal)")
     p.add_argument("--photoreal", action="store_true",
                    help="graph-filter the descent directions at runtime")
-    p.add_argument("--lambda-star-frac", type=_FRACTION, default=0.2)
-    p.add_argument("--cheb-order", type=_AT_LEAST_ONE, default=5)
-    p.add_argument("--matting-eps", type=_POSITIVE, default=1e-5)
+    p.add_argument("--lambda-star-frac", type=_FRACTION,
+                   default=DEFAULT_LAMBDA_FRAC)
+    p.add_argument("--cheb-order", type=_AT_LEAST_ONE, default=DEFAULT_ORDER)
+    p.add_argument("--matting-eps", type=_POSITIVE, default=DEFAULT_MATTING_EPS)
     p.add_argument("--content-mask", default=None)
     p.add_argument("--blend-mask", default=None)
     p.add_argument("--guided-filter", action="store_true")
-    p.add_argument("--gf-radius", type=_AT_LEAST_ONE, default=8)
-    p.add_argument("--gf-eps", type=_POSITIVE, default=1e-4)
+    p.add_argument("--gf-radius", type=_AT_LEAST_ONE,
+                   default=GuidedFilterParams.radius)
+    p.add_argument("--gf-eps", type=_POSITIVE, default=GuidedFilterParams.eps)
 
     p = sub.add_parser("compare",
                        help="gradient-descent loss trajectory vs the network")
@@ -122,8 +130,8 @@ def _build_parser():
     p.add_argument("--style-id", type=int, default=0)
     p.add_argument("--iters", type=_COUNT, required=True)
     p.add_argument("--mu", type=_POSITIVE, default=None)
-    p.add_argument("--init", choices=INIT_MODES, default="content")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--init", choices=INIT_MODES, default=DescentConfig.init)
+    p.add_argument("--seed", type=_SEED, default=DescentConfig.seed)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     p = sub.add_parser("inspect", help="print parameter counts of a checkpoint")

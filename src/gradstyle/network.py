@@ -88,22 +88,19 @@ class UnrolledModel:
         return [p for ps in self.param_groups().values() for p in ps]
 
     def astype(self, dtype) -> UnrolledModel:
-        """A copy with every weight cast to dtype.
+        """A copy with every weight cast to dtype, rebuilt by layer_stacks
+        from parameters(), which lists them in its order.
 
         A weight beyond dtype's range becomes Inf, which Tensor rejects as
         NonFiniteError.
         """
-        def cast(t):
-            return Tensor(t.data.astype(dtype))
-
-        def convs(layers):
-            return [ConvLayer(cast(l.kernel), cast(l.bias), l.relu) for l in layers]
-
+        params = iter(self.parameters())
         with np.errstate(over="ignore"):
-            return UnrolledModel(
-                convs(self.fwd), convs(self.bwd),
-                [replace(s, h=[[cast(m) for m in row] for row in s.h])
-                 for s in self.styles], self.extractor_seed)
+            fwd, bwd, hs = layer_stacks(
+                lambda shape: next(params).data.astype(dtype).reshape(shape),
+                self.n_styles)
+        styles = [replace(s, h=h) for s, h in zip(self.styles, hs)]
+        return UnrolledModel(fwd, bwd, styles, self.extractor_seed)
 
 
 def layer_stacks(weight, n_styles: int):
@@ -133,10 +130,9 @@ def init_model(seed: int = 0, n_styles: int = 1) -> UnrolledModel:
 
 def param_count(model: UnrolledModel):
     """(conv stack weights, style weights per step, grand total)."""
-    fb = sum(layer.param_count() for layer in model.fwd + model.bwd)
+    total = sum(p.data.size for p in model.parameters())
     per_iter = sum(c * c for c in CHANNELS)
-    total = fb + model.n_styles * NUM_STEPS * per_iter
-    return fb, per_iter, total
+    return total - model.n_styles * NUM_STEPS * per_iter, per_iter, total
 
 
 @dataclass(eq=False)

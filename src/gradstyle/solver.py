@@ -65,6 +65,9 @@ def _init_image(content: Tensor, cfg: DescentConfig) -> np.ndarray:
 
 
 def _project(x: np.ndarray, projector) -> np.ndarray:
+    """x with every channel passed through projector; x when it is None."""
+    if projector is None:
+        return x
     c, h, w = x.shape
     flat = x.reshape(c, h * w)
     return np.stack([projector(flat[i]) for i in range(c)]).reshape(c, h, w)
@@ -78,27 +81,20 @@ def _loss_and_grad(x: Tensor, c_feats, target, fe, weights):
     return parts, grads[x]
 
 
-def _run(content: Tensor, target: StyleTarget, fe: FeatureExtractor,
-         cfg: DescentConfig, project: bool, keep_iterates: bool) -> DescentResult:
-    c_feats = extract_features(content, fe)
-    x_data = _init_image(content, cfg)
-    if project:
-        if cfg.projector is None:
-            raise ValueError("projected descent needs cfg.projector")
-        x_data = _project(x_data, cfg.projector)
+def _run(content: Tensor, c_feats, target: StyleTarget, fe: FeatureExtractor,
+         cfg: DescentConfig, keep_iterates: bool) -> DescentResult:
+    """Descent from cfg's init image, projected when cfg.projector is set.
+    The caller extracts c_feats, content's features, once for all mu probes."""
+    x = Tensor(_project(_init_image(content, cfg), cfg.projector))
     mu = cfg.mu if cfg.mu is not None else _pick_mu(
-        content, target, fe, cfg, project)
-    x = Tensor(x_data)
+        content, c_feats, target, fe, cfg)
     trajectory: list[LossParts] = []
     iterates = [x] if keep_iterates else []
     try:
         for _ in range(cfg.iters):
             parts, g = _loss_and_grad(x, c_feats, target, fe, cfg.weights)
             trajectory.append(parts)
-            new_data = x.data - mu * g
-            if project:
-                new_data = _project(new_data, cfg.projector)
-            x = Tensor(new_data)
+            x = Tensor(_project(x.data - mu * g, cfg.projector))
             if keep_iterates:
                 iterates.append(x)
         _, parts = total_loss(x, c_feats, target, fe, cfg.weights,
@@ -111,7 +107,7 @@ def _run(content: Tensor, target: StyleTarget, fe: FeatureExtractor,
     return DescentResult(x, trajectory, mu, iterates)
 
 
-def _pick_mu(content, target, fe, cfg, project) -> float:
+def _pick_mu(content, c_feats, target, fe, cfg) -> float:
     """Smallest grid stepsize achieving the best loss after a probe run.
 
     The probe is the requested run (projected or not) capped at 10
@@ -122,8 +118,8 @@ def _pick_mu(content, target, fe, cfg, project) -> float:
     best_mu, best_loss = MU_GRID[0], np.inf
     for mu in MU_GRID:
         try:
-            probe = _run(content, target, fe,
-                         replace(cfg, iters=probe_steps, mu=mu), project,
+            probe = _run(content, c_feats, target, fe,
+                         replace(cfg, iters=probe_steps, mu=mu),
                          keep_iterates=False)
             loss = probe.trajectory[-1].total
         except DivergenceError:
@@ -136,14 +132,17 @@ def _pick_mu(content, target, fe, cfg, project) -> float:
 def grad_descent_stylize(content: Tensor, target: StyleTarget,
                          fe: FeatureExtractor, cfg: DescentConfig,
                          keep_iterates: bool = False) -> DescentResult:
-    """Gradient descent on the objective; trajectory has one row per iterate."""
-    return _run(content, target, fe, cfg, project=False,
-                keep_iterates=keep_iterates)
+    """Gradient descent on the objective; trajectory has one row per iterate.
+    cfg.projector is ignored."""
+    return _run(content, extract_features(content, fe), target, fe,
+                replace(cfg, projector=None), keep_iterates)
 
 
 def projected_grad_descent(content: Tensor, target: StyleTarget,
                            fe: FeatureExtractor, cfg: DescentConfig,
                            keep_iterates: bool = False) -> DescentResult:
     """Projected variant: the init and every update pass through cfg.projector."""
-    return _run(content, target, fe, cfg, project=True,
-                keep_iterates=keep_iterates)
+    if cfg.projector is None:
+        raise ValueError("projected descent needs cfg.projector")
+    return _run(content, extract_features(content, fe), target, fe, cfg,
+                keep_iterates)

@@ -77,16 +77,12 @@ class Tensor:
 class ConvLayer:
     """3x3 (or 1x1) convolution weights with optional fused ReLU.
 
-    kernel: (out_ch, in_ch, kh, kw), bias: (out_ch,). Parameter count is
-    out_ch*in_ch*kh*kw + out_ch.
+    kernel: (out_ch, in_ch, kh, kw), bias: (out_ch,).
     """
 
     kernel: Tensor
     bias: Tensor
     relu: bool = True
-
-    def param_count(self):
-        return self.kernel.data.size + self.bias.data.size
 
 
 class _Record(NamedTuple):
@@ -233,10 +229,12 @@ def mirror_pad(data: np.ndarray, multiple: int) -> np.ndarray:
 
 
 def block_mean2(data: np.ndarray) -> np.ndarray:
-    """2x2 block means of a (..., h, w) array, h and w even, each block
-    summed row by row in any memory layout (avg_pool2 pairs terms otherwise)."""
-    return 0.25 * (data[..., 0::2, 0::2] + data[..., 0::2, 1::2]
-                   + data[..., 1::2, 0::2] + data[..., 1::2, 1::2])
+    """2x2 block means of a (..., h, w) array, h and w even, as the sum of
+    the block's two column sums; avg_pool2 and both pyramids pool with it."""
+    out = data[..., 0::2, 0::2] + data[..., 1::2, 0::2]
+    out += data[..., 0::2, 1::2] + data[..., 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def inv_sym3(m: np.ndarray) -> np.ndarray:
@@ -344,14 +342,11 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer) -> Tensor:
 
 
 def avg_pool2(x: Tensor) -> Tensor:
-    """2x2 average pooling; spatial dims must be even."""
+    """2x2 average pooling by block_mean2; spatial dims must be even."""
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ValueError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    xd = x.data
-    out_data = xd[:, 0::2, 0::2] + xd[:, 1::2, 0::2]
-    out_data += xd[:, 0::2, 1::2] + xd[:, 1::2, 1::2]
-    out_data *= 0.25
+    out_data = block_mean2(x.data)
 
     def vjp(g):
         q = 0.25 * g

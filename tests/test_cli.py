@@ -284,7 +284,10 @@ _COMPARE = ["compare", "--model", "m.ckpt", "--input", "in.ppm"]
     _TRAIN + ["--size", "12"],
     _TRAIN + ["--size", "24"],
     _TRAIN + ["--size", "0"],
+    _TRAIN + ["--seed", "-1"],
+    _TRAIN + ["--seed", str(2**64)],
     _COMPARE + ["--iters", "-1"],
+    _COMPARE + ["--iters", "1", "--seed", "-1"],
     _COMPARE + ["--iters", "1", "--mu", "0"],
     _COMPARE + ["--iters", "1", "--mu", "nan"],
     _COMPARE + ["--iters", "1", "--init", "bogus"],

@@ -635,15 +635,28 @@ class TestFloat32Direction:
         with GradTape(), pytest.raises(RuntimeError, match="inference-only"):
             descent_step(x, 0, seeded_model(24).astype(np.float32))
 
-    def test_astype_copies_every_weight(self):
-        model = seeded_model(25)
+    @pytest.mark.parametrize("n_styles", [1, 2])
+    def test_astype_copies_every_weight(self, n_styles):
+        model = init_model(25, n_styles)
+        rng = np.random.default_rng(25)
+        for p in model.parameters():    # distinct values catch a misordering
+            p.data[:] = rng.standard_normal(p.shape)
+        for s, style in enumerate(model.styles):
+            style.lam_s = 0.5 + s
+            style.target_grams = [rng.standard_normal((c, c)) for c in (8, 16)]
         model32 = model.astype(np.float32)
         assert isinstance(model32, UnrolledModel)
+        assert model32.extractor_seed == model.extractor_seed
         assert ([l.relu for l in model32.fwd + model32.bwd]
                 == [l.relu for l in model.fwd + model.bwd])
+        assert len(model32.parameters()) == len(model.parameters())
         for a, b in zip(model.parameters(), model32.parameters()):
             assert b.data.dtype == np.float32 and b is not a
             np.testing.assert_array_equal(b.data, a.data.astype(np.float32))
+        assert len(model32.styles) == n_styles
+        for a, b in zip(model.styles, model32.styles):
+            assert b.lam_s == a.lam_s
+            assert b.target_grams is a.target_grams
 
     def test_weight_beyond_float32_is_non_finite(self):
         model = seeded_model(26)

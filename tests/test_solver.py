@@ -11,6 +11,7 @@ from gradstyle.perceptual import (
     total_loss,
 )
 from gradstyle.perceptual import StyleTarget
+from gradstyle import solver
 from gradstyle.solver import (
     MU_GRID,
     DescentConfig,
@@ -67,6 +68,19 @@ class TestPlainDescent:
             _, parts = total_loss(it, c_feats, target, fe, cfg.weights,
                                   return_parts=True)
             assert row.total == pytest.approx(parts.total, rel=1e-10)
+
+    def test_content_features_extracted_once(self, problem, fe, monkeypatch):
+        # the mu grid search probes reuse the run's content features
+        calls = []
+
+        def spy(x, fe):
+            calls.append(x)
+            return extract_features(x, fe)
+
+        monkeypatch.setattr(solver, "extract_features", spy)
+        content, target = problem
+        grad_descent_stylize(content, target, fe, DescentConfig(iters=2))
+        assert calls == [content]
 
     def test_grid_search_picks_from_grid(self, problem, fe):
         content, target = problem
@@ -179,6 +193,15 @@ class TestProjectedDescent:
         unused = grad_descent_stylize(
             content, target, fe, DescentConfig(iters=10, projector=projector))
         assert unused.mu == plain.mu
+
+    def test_plain_descent_never_calls_the_projector(self, problem, fe):
+        def projector(v):
+            raise AssertionError("plain descent called cfg.projector")
+
+        content, target = problem
+        res = grad_descent_stylize(content, target, fe,
+                                   DescentConfig(iters=2, projector=projector))
+        assert res.mu in MU_GRID
 
     def test_missing_projector_rejected(self, problem, fe):
         content, target = problem

@@ -25,6 +25,7 @@ from gradstyle.tensor import (
     avg_pool2,
     backward,
     bilinear_up2,
+    block_mean2,
     chan_matmul,
     clip_unit,
     conv2d_reflect,
@@ -103,6 +104,8 @@ class TestPool:
         x = Tensor(rng.uniform(-1, 1, (2, 6, 6)))
         np.testing.assert_allclose(avg_pool2(x).data,
                                    oracles.pool_reference(x.data), atol=1e-14)
+        # one 2x2 mean for the network and the photoreal and mask pyramids
+        np.testing.assert_array_equal(avg_pool2(x).data, block_mean2(x.data))
 
     def test_odd_dims_rejected(self, rng):
         with pytest.raises(ValueError, match="even"):
