@@ -206,6 +206,11 @@ def _cmd_stylize(args) -> int:
     model = load_checkpoint(args.model)
     style_id = _checked_style_id(model, args.style_id)
     content = read_image(args.input)
+    # every input file is read before the matting pyramid is built
+    content_mask = (_read_mask(args.content_mask, soft=False)
+                    if args.content_mask else None)
+    blend_mask = (_read_mask(args.blend_mask, soft=True)
+                  if args.blend_mask else None)
     alpha = args.alpha if args.alpha is not None else (
         1.2 if args.photoreal else 1.0)
     hooks = None
@@ -222,10 +227,8 @@ def _cmd_stylize(args) -> int:
                 lam_info[f"level{lvl}.lambda_star"] = repr(filt.lambda_star)
     opts = InferenceOptions(
         alpha=alpha,
-        content_mask=(_read_mask(args.content_mask, soft=False)
-                      if args.content_mask else None),
-        blend_mask=(_read_mask(args.blend_mask, soft=True)
-                    if args.blend_mask else None),
+        content_mask=content_mask,
+        blend_mask=blend_mask,
         filter_hooks=hooks,
         guided=(GuidedFilterParams(args.gf_radius, args.gf_eps)
                 if args.guided_filter else None),

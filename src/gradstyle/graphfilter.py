@@ -7,18 +7,25 @@ subspace; at scale this is approximated by a damped Chebyshev polynomial of
 the sparse Laplacian, so filtering costs exactly `order` sparse mat-vec
 products per signal. The Laplacian is stored as its 25 diagonals, and a
 feature map is filtered one contiguous channel at a time.
+
+scipy.sparse is imported only inside the functions that build a DIA matrix,
+so a process that never builds a matting Laplacian (artistic stylize, train,
+compare, inspect) never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .network import CHANNELS, SIDE_MULTIPLE
 from .tensor import Tensor, as_float, block_mean2, inv_sym3, mirror_pad
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_MATTING_EPS = 1e-5
 DEFAULT_ORDER = 5
@@ -51,6 +58,8 @@ class SparseLaplacian:
     dia32: sp.dia_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         d = self.dia
         self.dia32 = sp.dia_matrix((d.data.astype(np.float32), d.offsets),
                                    shape=d.shape)
@@ -91,6 +100,8 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     (dy, dx) share one flat offset and so one diagonal, which is exact: at
     any pixel at most one of them points inside the image.
     """
+    import scipy.sparse as sp
+
     data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != 3:
         raise ValueError("expected a (3, h, w) image")
@@ -217,13 +228,20 @@ def jackson_cheb_coeffs(order: int, lambda_star: float,
 
 def _cheb_sum(coeffs, op, x):
     """sum_j coeffs[j] * T_j(op) x by the three-term Chebyshev recurrence,
-    with len(coeffs) - 1 calls of op."""
+    with len(coeffs) - 1 calls of op.
+
+    op must return a fresh array: each new iterate and the sum are updated
+    in place, in the operation order of 2 * op(t) - t_prev, so the result
+    is bit-equal to the out-of-place recurrence.
+    """
     y = coeffs[0] * x
     t_prev, t_cur = x, op(x)
     y = y + coeffs[1] * t_cur
     for c in coeffs[2:]:
-        t_next = 2.0 * op(t_cur) - t_prev
-        y = y + c * t_next
+        t_next = op(t_cur)
+        t_next *= 2.0
+        t_next -= t_prev
+        y += c * t_next
         t_prev, t_cur = t_cur, t_next
     return y
 
@@ -298,6 +316,8 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
             img = block_mean2(img)
         _, h, w = img.shape
         if h < 3 or w < 3:
+            import scipy.sparse as sp
+
             laps.append(SparseLaplacian(sp.dia_matrix((h * w, h * w)), h, w))
             filts.append(None)
             continue

@@ -43,8 +43,8 @@ class DescentConfig:
     def __post_init__(self):
         if self.iters < 0:
             raise ValueError("iteration count must be >= 0")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("stepsize must be positive")
+        if self.mu is not None and not 0 < self.mu < np.inf:  # NaN fails too
+            raise ValueError(f"stepsize must be finite and > 0, got {self.mu}")
         if self.init not in INIT_MODES:
             raise ValueError(f"init mode must be one of {INIT_MODES}")
 

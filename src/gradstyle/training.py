@@ -87,8 +87,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr < 0:
-            raise ValueError("epochs and lr must be >= 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not 0 <= self.lr < np.inf:                  # NaN fails too
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.side <= 0 or self.side % TRAIN_SIDE_MULTIPLE:
             raise ValueError(f"side must be a positive multiple of "
                              f"{TRAIN_SIDE_MULTIPLE}")

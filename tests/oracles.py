@@ -226,6 +226,19 @@ def spectral_filter_dense(lap_dense, response_fn, signal):
                 else response_fn(lams) * (u.T @ signal))
 
 
+def cheb_sum_reference(coeffs, op, x):
+    """sum_j coeffs[j] * T_j(op) x by the out-of-place three-term
+    recurrence, T_{j+1} = 2 op(T_j) - T_{j-1}."""
+    y = coeffs[0] * x
+    t_prev, t_cur = x, op(x)
+    y = y + coeffs[1] * t_cur
+    for c in coeffs[2:]:
+        t_next = 2.0 * op(t_cur) - t_prev
+        y = y + c * t_next
+        t_prev, t_cur = t_cur, t_next
+    return y
+
+
 class IdentityHooks:
     """Filter hooks that pass every map through unchanged."""
 

@@ -1,7 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gradstyle
 from conftest import smooth_image
+from gradstyle import cli
 from gradstyle.cli import main
 from gradstyle.imagecodec import read_image, write_ppm
 from gradstyle.network import NUM_STEPS, descent_step
@@ -158,6 +165,18 @@ class TestStylizeCommand:
         assert main(["stylize", "--model", str(bad), "--input", str(inp),
                      "--output", str(tmp_path / "o.ppm")]) == 3
 
+    @pytest.mark.parametrize("flag", ["--content-mask", "--blend-mask"])
+    def test_missing_mask_exits_3_before_the_pyramid(self, workspace, tmp_path,
+                                                     monkeypatch, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("masks are read before the pyramid is built")
+        monkeypatch.setattr(cli, "build_pyramid", refuse)
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, smooth_image(np.random.default_rng(16), 16))
+        assert main(["stylize", "--model", str(workspace["ckpt"]),
+                     "--input", str(inp), "--output", str(tmp_path / "o.ppm"),
+                     "--photoreal", flag, str(tmp_path / "missing.ppm")]) == 3
+
     @pytest.mark.filterwarnings("error")
     def test_non_finite_values_exit_4(self, workspace, tmp_path, capsys):
         # a readable checkpoint whose weights overflow the forward pass is
@@ -297,3 +316,51 @@ def test_invalid_flag_values_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+_SPARSE_PROBE = """
+import sys
+
+import gradstyle
+import gradstyle.cli
+
+contents, style, image, root = sys.argv[1:]
+ckpt = root + "/m.ckpt"
+
+
+def run(*argv):
+    code = gradstyle.cli.main(list(argv))
+    assert code == 0, (argv, code)
+
+
+run("train", "--contents", contents, "--style", style, "--out", ckpt,
+    "--epochs", "0", "--size", "32")
+run("inspect", "--model", ckpt)
+run("stylize", "--model", ckpt, "--input", image, "--output", root + "/a.ppm")
+run("compare", "--model", ckpt, "--input", image, "--iters", "1",
+    "--mu", "0.1", "--out", root + "/c.csv")
+loaded = ["scipy.sparse" in sys.modules]
+run("stylize", "--model", ckpt, "--input", image, "--output", root + "/p.ppm",
+    "--photoreal")
+loaded.append("scipy.sparse" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_photoreal_loads_scipy_sparse(tmp_path):
+    # a fresh interpreter: this one has imported scipy.sparse for the oracles
+    rng = np.random.default_rng(17)
+    contents = tmp_path / "contents"
+    contents.mkdir()
+    write_ppm(contents / "c0.ppm", smooth_image(rng, 32))
+    write_ppm(tmp_path / "style.ppm", smooth_image(rng, 32))
+    src = str(pathlib.Path(gradstyle.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPARSE_PROBE, str(contents),
+         str(tmp_path / "style.ppm"), str(contents / "c0.ppm"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, True]"

@@ -274,6 +274,14 @@ class TestChebCoeffs:
         assert r.max() <= 1.1
         assert r.min() >= -0.1
 
+    def test_response_matches_out_of_place_recurrence(self):
+        f = jackson_cheb_coeffs(7, 0.3, 1.7)
+        lams = np.linspace(0.0, 1.7, 257)
+        x = 2.0 * lams / f.lambda_max - 1.0
+        ref = oracles.cheb_sum_reference(f.coeffs, lambda v: x * v,
+                                         np.ones_like(x))
+        np.testing.assert_array_equal(f.response(lams), ref)
+
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
             jackson_cheb_coeffs(5, 0.0, 1.0)
@@ -310,6 +318,19 @@ class TestApplyPolyFilter:
         assert lap.matvec_count - start == 5
         ref = apply_poly_filter(lap, f, x)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_out_of_place_recurrence(self, dtype):
+        # the in-place iterate updates keep the out-of-place operation order
+        lap = matting_laplacian(random_rgb(8, 12, 10))
+        f = jackson_cheb_coeffs(6, 0.2 * lap.lambda_max, lap.lambda_max)
+        x = np.random.default_rng(8).standard_normal(lap.n).astype(dtype)
+        scale = x.dtype.type(2.0 / f.lambda_max)
+        ref = oracles.cheb_sum_reference(
+            f.coeffs.astype(dtype), lambda v: scale * lap.matvec(v) - v, x)
+        out = apply_poly_filter(lap, f, x)
+        assert out.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(out, ref)
 
     def test_float32_filtering_leaves_the_pyramid_alone(self):
         pyramid = build_pyramid(random_rgb(7, 16, 16))

@@ -220,3 +220,8 @@ class TestConfigValidation:
             DescentConfig(iters=1, init="bogus")
         with pytest.raises(ValueError, match="init mode"):
             DescentConfig(iters=1, init="content+noise")
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_stepsize_rejected(self, mu):
+        with pytest.raises(ValueError, match="stepsize"):
+            DescentConfig(iters=1, mu=mu)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_image
-from gradstyle import tensor
+from gradstyle import tensor, training
 from gradstyle.imagecodec import write_ppm
 from gradstyle.network import init_model
 from gradstyle.perceptual import (
@@ -207,6 +207,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="multiple of 16"):
             TrainConfig(side=side)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-5])
+    def test_non_finite_or_negative_lr_rejected(self, lr):
+        # rejected up front, not reported later as "training diverged"
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
     def test_style_count_mismatch_rejected(self, tmp_path, rng):
         contents = make_content_dir(tmp_path)
         with pytest.raises(ValueError, match="style slots"):
@@ -214,13 +220,19 @@ class TestTrain:
                   contents, TrainConfig(epochs=0, side=16))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_last_good_snapshot(self, tmp_path, rng):
+    def test_divergence_aborts_with_last_good_snapshot(self, tmp_path, rng,
+                                                       monkeypatch):
+        # TrainConfig rejects an infinite lr, so Adam is handed one directly:
+        # the weights turn non-finite and the next forward pass raises
+        monkeypatch.setattr(training, "adam_step",
+                            lambda state, grads, lr: adam_step(state, grads,
+                                                               np.inf))
         contents = make_content_dir(tmp_path)
         model = init_model(6)
         snap = snapshot(model)
         with pytest.raises(DivergenceError, match="diverged") as excinfo:
             train(model, [(smooth_image(rng, 32), None)], contents,
-                  TrainConfig(epochs=1, side=16, lr=float("inf")))
+                  TrainConfig(epochs=1, side=16))
         last_good = excinfo.value.last_good
         assert_same_weights(last_good, snap)  # pre-epoch snapshot preserved
 
