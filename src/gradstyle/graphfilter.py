@@ -5,8 +5,8 @@ defines a graph on which photorealistic results are smooth signals. Ideal
 low-pass filtering below a threshold eigenvalue projects onto the bandlimited
 subspace; at scale this is approximated by a damped Chebyshev polynomial of
 the sparse Laplacian, so filtering costs exactly `order` sparse mat-vec
-products per signal. The Laplacian is stored as its 25 diagonals, and a
-feature map is filtered one contiguous channel at a time.
+products per signal. The Laplacian is stored as its 25 diagonals, float32
+in a pyramid, and a feature map is filtered one contiguous channel at a time.
 
 scipy.sparse is imported only inside the functions that build a DIA matrix,
 so a process that never builds a matting Laplacian (artistic stylize, train,
@@ -39,30 +39,19 @@ class SparseLaplacian:
     """Symmetric sparse PSD matrix on an h x w pixel grid, with spectral
     metadata.
 
-    It couples pixels at most 2 apart in both axes, so it is held as a
-    float64 dia_matrix with at most 25 diagonals, at the sorted offsets
-    dy*w + dx, and a float32 copy of the diagonals, dia32, made once at
-    construction. matvec() is the only multiplication entry point, so tests
-    can assert how many sparse products an algorithm performed; it
-    multiplies one vector per call, a float32 one by dia32 and any other by
-    dia, so the product keeps the signal's dtype and no multiplication ever
-    changes the Laplacian. mat is a CSR matrix of the stored nonzeros,
-    converted from dia on first access.
+    It couples pixels at most 2 apart in both axes, so it is held as one
+    dia_matrix with at most 25 diagonals, at the sorted offsets dy*w + dx.
+    matvec() is the only multiplication entry point, so tests can assert
+    how many sparse products an algorithm performed; it multiplies one
+    vector per call by dia, and no multiplication ever changes the
+    Laplacian. mat is a CSR matrix of the stored nonzeros and lambda_max
+    the estimate_lambda_max of dia, each computed on first access.
     """
 
     dia: sp.dia_matrix
     height: int
     width: int
-    lambda_max: float = 0.0
     matvec_count: int = field(default=0, compare=False)
-    dia32: sp.dia_matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        import scipy.sparse as sp
-
-        d = self.dia
-        self.dia32 = sp.dia_matrix((d.data.astype(np.float32), d.offsets),
-                                   shape=d.shape)
 
     @property
     def n(self):
@@ -73,9 +62,13 @@ class SparseLaplacian:
         """CSR of the stored nonzeros, in column order within each row."""
         return self.dia.tocsr()
 
+    @cached_property
+    def lambda_max(self) -> float:
+        return estimate_lambda_max(self)
+
     def matvec(self, x):
         self.matvec_count += 1
-        return (self.dia32 if x.dtype == np.float32 else self.dia) @ x
+        return self.dia @ x
 
 
 def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLaplacian:
@@ -136,25 +129,21 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
             quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(hk, wk)
             diags[slot[qa - pa + 2, qb - pb + 2], qa:qa + hk, qb:qb + wk] += (
                 float(p == q) - (1.0 + quad) / 9.0)
-    del xc, xi                                        # before the float32 copy
     n = h * w
-    lap = SparseLaplacian(sp.dia_matrix((diags.reshape(-1, n), uniq),
-                                        shape=(n, n)), h, w)
-    lap.lambda_max = estimate_lambda_max(lap)
-    return lap
+    return SparseLaplacian(sp.dia_matrix((diags.reshape(-1, n), uniq),
+                                         shape=(n, n)), h, w)
 
 
 def estimate_lambda_max(lap: SparseLaplacian) -> float:
     """Largest-eigenvalue estimate by seeded power iteration, inflated by 1%.
 
-    The iterate is float32, so every product multiplies by dia32. The
-    float32 Chebyshev filters apply that operator, so its spectrum is the
-    one their domain must hold; its product also costs half the float64
-    one. Stops when the relative Rayleigh-quotient change drops below
-    LAMBDA_MAX_TOL, far above float32 rounding, or after LAMBDA_MAX_ITERS
-    products. A zero matrix yields 0.0; a matting Laplacian never is one,
-    since each window adds a block of trace 8 - tr((S_k + eps/9 I)^-1 S_k)
-    > 5.
+    The iterate has the dtype of lap.dia, so the estimate is of the operator
+    the Laplacian's filters apply: float32 on a pyramid level. Stops when
+    the relative Rayleigh-quotient change drops below LAMBDA_MAX_TOL, which
+    lies far above float32 rounding and so is reachable in either dtype, or
+    after LAMBDA_MAX_ITERS products. A zero matrix yields 0.0; a matting
+    Laplacian never is one, since each window adds a block of trace
+    8 - tr((S_k + eps/9 I)^-1 S_k) > 5.
 
     The estimate is not a bound. The Rayleigh quotient approaches lambda_max
     from below, and where it converges slowly the 1% inflation can leave it
@@ -165,7 +154,7 @@ def estimate_lambda_max(lap: SparseLaplacian) -> float:
     n = lap.n
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
-    v = (v / np.linalg.norm(v)).astype(np.float32)
+    v = (v / np.linalg.norm(v)).astype(lap.dia.dtype)
     ray_prev = None
     ray = 0.0
     for _ in range(LAMBDA_MAX_ITERS):
@@ -251,9 +240,9 @@ def apply_poly_filter(lap: SparseLaplacian, filt: ChebFilter, signal):
 
     Three-term Chebyshev recurrence on the rescaled operator; exactly
     len(filt.coeffs) - 1 sparse mat-vec products, no dense spectral work.
-    It runs in the signal's dtype (float32 stays float32): the scale and the
-    coefficients are cast to it, since a float64 NumPy scalar would promote
-    every product to float64.
+    The scale and the coefficients are cast to the signal's dtype, since a
+    float64 NumPy scalar would promote every product to float64; the output
+    dtype is NumPy's promotion of the signal's and the Laplacian's.
     """
     x = as_float(signal)
     if x.shape != (lap.n,):
@@ -303,10 +292,10 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
 
     The content is mirror-padded to multiples of SIDE_MULTIPLE first, as
     stylize pads it, so each level matches a backward-map scale. Each level
-    gets its own largest-eigenvalue estimate and a low-pass filter with
-    threshold lambda_frac * lambda_max. A level too small to hold a 3x3
-    window has an empty Laplacian, so its exact low-pass is the identity and
-    no filter is built.
+    keeps float32 diagonals and a low-pass filter with threshold
+    lambda_frac * lambda_max; its lambda_max is estimated here, before any
+    thread filters. A level too small to hold a 3x3 window has an empty
+    Laplacian, so its exact low-pass is the identity and no filter is built.
     """
     data = content.data if isinstance(content, Tensor) else np.asarray(content, dtype=np.float64)
     laps, filts = [], []
@@ -318,10 +307,12 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
         if h < 3 or w < 3:
             import scipy.sparse as sp
 
-            laps.append(SparseLaplacian(sp.dia_matrix((h * w, h * w)), h, w))
+            laps.append(SparseLaplacian(
+                sp.dia_matrix((h * w, h * w), dtype=np.float32), h, w))
             filts.append(None)
             continue
-        lap = matting_laplacian(img, epsilon)
+        lap = SparseLaplacian(
+            matting_laplacian(img, epsilon).dia.astype(np.float32), h, w)
         laps.append(lap)
         filts.append(jackson_cheb_coeffs(
             order, lambda_frac * lap.lambda_max, lap.lambda_max))

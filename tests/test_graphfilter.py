@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from gradstyle import graphfilter
 from gradstyle.graphfilter import (
     DEFAULT_MATTING_EPS,
     ChebFilter,
@@ -48,6 +52,12 @@ def zero_one_image(kind, h, w):
         return np.zeros((3, h, w))
     board = (np.indices((h, w)).sum(axis=0) % 2).astype(np.float64)
     return np.broadcast_to(board, (3, h, w))
+
+
+def as_float32(lap):
+    """The Laplacian with its diagonals rounded to float32, as a pyramid
+    level keeps them."""
+    return SparseLaplacian(lap.dia.astype(np.float32), lap.height, lap.width)
 
 
 def offset_nnz(h, w):
@@ -130,7 +140,8 @@ class TestMattingLaplacian:
                                       (64, 64)])
     def test_matvec_bit_equal_to_csr(self, kind, h, w):
         # the diagonals are summed in column order, as a CSR row is; at
-        # w <= 4 two offsets dy*w + dx coincide and share one diagonal
+        # w <= 4 two offsets dy*w + dx coincide and share one diagonal. A
+        # float32 copy, as a pyramid level keeps, multiplies in float32.
         rng = np.random.default_rng(h * w + 1)
         lap = matting_laplacian(make_image(kind, h, w, rng))
         assert len(lap.dia.offsets) == len(np.unique(
@@ -140,7 +151,7 @@ class TestMattingLaplacian:
         assert y.dtype == np.float64
         np.testing.assert_array_equal(y, lap.mat @ x)
         x32 = x.astype(np.float32)
-        y32 = lap.matvec(x32)
+        y32 = as_float32(lap).matvec(x32)
         assert y32.dtype == np.float32
         np.testing.assert_array_equal(y32, lap.mat.astype(np.float32) @ x32)
 
@@ -161,10 +172,10 @@ class TestMattingLaplacian:
         assert peak < 40e6
 
     def test_pyramid_keeps_no_csr(self):
-        # float64 and float32 diagonals keep 12 bytes per slot (6.6 MB for
-        # this 4-level pyramid); a CSR with a float32 copy of its values
-        # keeps f64 values, int32 indices and f32 values, about 16 bytes per
-        # stored entry (8.6 MB)
+        # float32 diagonals alone keep 4 bytes per slot (2.2 MB for this
+        # 4-level pyramid); adding a float64 copy makes 12 bytes per slot,
+        # and a CSR keeps f32 values and int32 indices, about 8 bytes per
+        # stored entry
         img = random_rgb(4, 128, 128)
         tracemalloc.start()
         try:
@@ -172,8 +183,9 @@ class TestMattingLaplacian:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert all(lap.dia.dtype == np.float32 for lap in pyramid.laplacians)
         slots = 25 * sum(lap.n for lap in pyramid.laplacians)
-        assert kept < 14 * slots
+        assert kept < 5 * slots
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,18 +234,20 @@ class TestLambdaMax:
         assert estimate_of(np.zeros((4, 4)), 2, 2) == 0.0
 
     def test_iterates_on_the_float32_diagonals(self, monkeypatch):
-        # the float32 filters apply dia32, so the power iteration estimates
-        # that operator's spectrum
-        lap = matting_laplacian(random_rgb(2))
-        seen = []
-        matvec = lap.matvec
+        # the iterate has the Laplacian's dtype, so on a pyramid level, whose
+        # float32 diagonals the filters apply, it is float32
+        lap64 = matting_laplacian(random_rgb(2))
+        level = build_pyramid(random_rgb(2, 16, 16)).laplacians[0]
+        for lap, dtype in ((lap64, np.float64), (level, np.float32)):
+            seen = []
 
-        def spy(x):
-            seen.append(x.dtype)
-            return matvec(x)
-        monkeypatch.setattr(lap, "matvec", spy)
-        estimate_lambda_max(lap)
-        assert seen and set(seen) == {np.dtype(np.float32)}
+            def spy(x, matvec=lap.matvec):
+                seen.append(x.dtype)
+                return matvec(x)
+            monkeypatch.setattr(lap, "matvec", spy)
+            estimate_lambda_max(lap)
+            assert lap.dia.dtype == dtype
+            assert seen and set(seen) == {np.dtype(dtype)}
 
     @pytest.mark.xfail(strict=True, reason="the 1.01x power-iteration "
                        "estimate can fall below lambda_max (ROADMAP item 2)")
@@ -307,23 +321,39 @@ class TestApplyPolyFilter:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_the_signal_dtype(self, dtype):
-        # a float64 coefficient or scale would promote a float32 recurrence
-        # to float64 (NumPy 2 promotion of float64 scalars)
-        lap = matting_laplacian(random_rgb(6))
-        f = jackson_cheb_coeffs(5, 0.2 * lap.lambda_max, lap.lambda_max)
+        # on a Laplacian of the signal's dtype; a float64 coefficient or
+        # scale would promote a float32 recurrence to float64 (NumPy 2
+        # promotion of float64 scalars)
+        lap64 = matting_laplacian(random_rgb(6))
+        lap = lap64 if dtype == np.float64 else as_float32(lap64)
+        f = jackson_cheb_coeffs(5, 0.2 * lap64.lambda_max, lap64.lambda_max)
         x = np.random.default_rng(6).standard_normal(lap.n)
         start = lap.matvec_count
         out = apply_poly_filter(lap, f, x.astype(dtype))
         assert out.dtype == dtype
         assert lap.matvec_count - start == 5
-        ref = apply_poly_filter(lap, f, x)
+        ref = apply_poly_filter(lap64, f, x)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    def test_output_dtype_follows_promotion(self):
+        # the recurrence adds the signal to the Laplacian's products, so a
+        # float32 signal on a float64 Laplacian yields float64
+        lap = matting_laplacian(random_rgb(6))
+        f = jackson_cheb_coeffs(5, 0.2 * lap.lambda_max, lap.lambda_max)
+        x = np.random.default_rng(6).standard_normal(lap.n)
+        for lap_dtype in (np.float32, np.float64):
+            op = lap if lap_dtype == np.float64 else as_float32(lap)
+            for x_dtype in (np.float32, np.float64):
+                out = apply_poly_filter(op, f, x.astype(x_dtype))
+                assert out.dtype == np.promote_types(lap_dtype, x_dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_out_of_place_recurrence(self, dtype):
-        # the in-place iterate updates keep the out-of-place operation order
-        lap = matting_laplacian(random_rgb(8, 12, 10))
-        f = jackson_cheb_coeffs(6, 0.2 * lap.lambda_max, lap.lambda_max)
+        # the in-place iterate updates keep the out-of-place operation
+        # order, on a Laplacian of the signal's dtype
+        lap64 = matting_laplacian(random_rgb(8, 12, 10))
+        lap = lap64 if dtype == np.float64 else as_float32(lap64)
+        f = jackson_cheb_coeffs(6, 0.2 * lap64.lambda_max, lap64.lambda_max)
         x = np.random.default_rng(8).standard_normal(lap.n).astype(dtype)
         scale = x.dtype.type(2.0 / f.lambda_max)
         ref = oracles.cheb_sum_reference(
@@ -333,19 +363,20 @@ class TestApplyPolyFilter:
         np.testing.assert_array_equal(out, ref)
 
     def test_float32_filtering_leaves_the_pyramid_alone(self):
-        pyramid = build_pyramid(random_rgb(7, 16, 16))
+        img = random_rgb(7, 16, 16)
+        pyramid = build_pyramid(img)
         lap = pyramid.laplacians[0]
-        dia, dia32 = lap.dia, lap.dia32
-        values, values32 = dia.data.copy(), dia32.data.copy()
-        assert dia.dtype == np.float64 and dia32.dtype == np.float32
-        np.testing.assert_array_equal(dia32.offsets, dia.offsets)
-        np.testing.assert_array_equal(dia32.data, dia.data.astype(np.float32))
+        dia = lap.dia
+        values, offsets = dia.data.copy(), dia.offsets.copy()
+        assert dia.dtype == np.float32
+        np.testing.assert_array_equal(
+            values, matting_laplacian(img).dia.data.astype(np.float32))
         arr = np.random.default_rng(7).standard_normal((4, 16, 16))
         out = pyramid.filter_map(0, arr.astype(np.float32))
         assert out.dtype == np.float32
-        assert lap.dia is dia and lap.dia32 is dia32
+        assert lap.dia is dia and dia.dtype == np.float32
         np.testing.assert_array_equal(dia.data, values)
-        np.testing.assert_array_equal(dia32.data, values32)
+        np.testing.assert_array_equal(dia.offsets, offsets)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_spectral_oracle(self, seed):
@@ -456,17 +487,23 @@ class TestPyramid:
             build_pyramid(img)
 
     def test_constant_filters_as_zero_eigenvector(self):
+        # a float32 level's rows sum to zero only within float32 rounding
+        # (4.2e-7 here), so a float32 constant passes within a few float32
+        # ulps of 1.3 (2.8e-7 measured)
         pyr = build_pyramid(np.full((3, 16, 16), 0.25))
         for lvl in range(4):
             side = 16 >> lvl
-            sig = np.full((2, side, side), 1.3)
+            sig = np.full((2, side, side), 1.3, dtype=np.float32)
             out = pyr.filter_map(lvl, sig)
+            assert out.dtype == np.float32
             r0 = pyr.filters[lvl].response(0.0) if pyr.filters[lvl] else 1.0
-            assert np.max(np.abs(out - r0 * sig)) <= 1e-10
+            assert np.max(np.abs(out - r0 * sig)) <= 1e-6
 
     def test_every_level_matches_dense_oracle(self):
         # the 1/8 level of a 16x16 image is 2x2: no 3x3 window fits, the
-        # Laplacian is empty and the exact low-pass there is the identity
+        # Laplacian is empty and the exact low-pass there is the identity.
+        # The oracle decomposes the level's float32 values in float64, the
+        # precision a float64 signal is filtered in.
         content = np.random.default_rng(2).uniform(0, 1, (3, 16, 16))
         pyr = build_pyramid(content)
         rng = np.random.default_rng(3)
@@ -475,11 +512,70 @@ class TestPyramid:
             x = rng.standard_normal(lap.n)
             x /= np.linalg.norm(x)
             ref = x if f is None else oracles.spectral_filter_dense(
-                lap.mat.toarray(), f.response, x)
+                lap.mat.toarray().astype(np.float64), f.response, x)
             side = 16 >> lvl
             out = pyr.filter_map(lvl, x.reshape(1, side, side)).reshape(-1)
             assert np.max(np.abs(out - ref)) <= 1e-8
         assert pyr.filters[3] is None and pyr.laplacians[3].mat.nnz == 0
+
+    def test_lambda_max_is_estimated_once_at_build(self, monkeypatch):
+        # reading a level's lambda_max after the build multiplies nothing,
+        # and two threads filtering one pyramid each make exactly 5
+        # products per filtered channel at every level
+        pyr = build_pyramid(random_rgb(9, 32, 32))
+        built = [lap.matvec_count for lap in pyr.laplacians]
+        assert all(built)
+
+        def no_estimate(lap):
+            raise AssertionError("lambda_max estimated after the build")
+        monkeypatch.setattr(graphfilter, "estimate_lambda_max", no_estimate)
+        assert ([lap.lambda_max for lap in pyr.laplacians]
+                == [f.lambda_max for f in pyr.filters])
+        assert [lap.matvec_count for lap in pyr.laplacians] == built
+
+        callers = [[] for _ in pyr.laplacians]
+        for lap, log in zip(pyr.laplacians, callers):
+            def spy(x, matvec=lap.matvec, log=log):
+                log.append(threading.get_ident())
+                return matvec(x)
+            monkeypatch.setattr(lap, "matvec", spy)
+        channels = {"a": 2, "b": 3}
+        rng = np.random.default_rng(9)
+        maps = {name: [rng.standard_normal((c, lap.height, lap.width))
+                       .astype(np.float32) for lap in pyr.laplacians]
+                for name, c in channels.items()}
+        start = threading.Barrier(len(channels))
+        idents, results, errors = {}, {}, []
+
+        def run(name):
+            try:
+                idents[name] = threading.get_ident()
+                start.wait(timeout=60)
+                results[name] = [pyr.filter_map(lvl, arr)
+                                 for lvl, arr in enumerate(maps[name])]
+            except Exception as err:       # reported by the assertion below
+                errors.append(f"{name}: {err!r}")
+
+        threads = [threading.Thread(target=run, args=(name,))
+                   for name in channels]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)      # switch threads often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for log in callers:
+            assert Counter(log) == {idents[name]: 5 * c
+                                    for name, c in channels.items()}
+        for name in channels:
+            for lvl, arr in enumerate(maps[name]):
+                np.testing.assert_array_equal(results[name][lvl],
+                                              pyr.filter_map(lvl, arr))
 
     @pytest.mark.parametrize("side", [24, 40])
     def test_odd_deepest_level_builds(self, side):
