@@ -13,6 +13,7 @@ import contextlib
 import csv
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .network import (
 )
 from .perceptual import (
     LossWeights,
-    StyleTarget,
     default_extractor,
     extract_features,
     total_loss,
@@ -193,7 +193,7 @@ def _cmd_train(args) -> int:
     for i, style_path in enumerate(args.style):
         per_style[f"style{i}"] = style_path
         per_style[f"style{i}.mask"] = masks[i] if masks else None
-        per_style[f"style{i}.lam_s"] = repr(result.model.styles[i].lam_s)
+        per_style[f"style{i}.lam_s"] = repr(result.model.styles[i].target.lam_s)
     _write_manifest(f"{args.out}.manifest", args, lam_c=weights.lam_c,
                     lam_tv=weights.lam_tv, lr=cfg.lr,
                     noise_bound=NOISE_BOUND,
@@ -236,18 +236,18 @@ def _cmd_stylize(args) -> int:
     out = stylize(content, model, style_id, opts)
     write_image(args.output, out)
     _write_manifest(f"{args.output}.manifest", args, alpha=alpha,
-                    style_lam_s=repr(model.styles[style_id].lam_s), **lam_info)
+                    style_lam_s=repr(model.styles[style_id].target.lam_s),
+                    **lam_info)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     model = load_checkpoint(args.model)
     style_id = _checked_style_id(model, args.style_id)
-    style = model.styles[style_id]
-    if not style.target_grams:
+    target = model.styles[style_id].target
+    if not target.grams:
         raise CheckpointError("checkpoint carries no style Gram targets; "
                               "retrain to enable compare")
-    target = StyleTarget(style.target_grams, style.lam_s)
     fe = default_extractor(model.extractor_seed)
     content = read_image(args.input)
     # both paths run on the same mirror-padded image so losses are comparable
@@ -267,8 +267,7 @@ def _cmd_compare(args) -> int:
         writer = csv.writer(out_fh)
         writer.writerow(["method", "iter", "total", "content", "style", "tv"])
         for method, it, p in rows:
-            writer.writerow([method, it, repr(p.total), repr(p.content),
-                             repr(p.style), repr(p.tv)])
+            writer.writerow([method, it, *map(repr, astuple(p))])
     if args.out:
         _write_manifest(f"{args.out}.manifest", args, mu=repr(result.mu),
                         lam_s=repr(target.lam_s))
@@ -285,7 +284,7 @@ def _cmd_inspect(args) -> int:
     for i, style in enumerate(model.styles):
         sizes = "+".join(str(h.data.shape[0]) + "^2" for h in style.h[0])
         print(f"style {i}: {NUM_STEPS}x{len(style.h[0])} matrices ({sizes}), "
-              f"lam_s={style.lam_s!r}")
+              f"lam_s={style.target.lam_s!r}")
     return EXIT_OK
 
 

@@ -270,6 +270,8 @@ class LaplacianPyramid:
     filters: list[ChebFilter]
 
     def filter_map(self, level: int, arr: np.ndarray) -> np.ndarray:
+        """Each channel of a (c, h, w) map filtered at `level`, in the dtype
+        apply_poly_filter returns; a level without a filter returns arr."""
         lap = self.laplacians[level]
         c, h, w = arr.shape
         if h != lap.height or w != lap.width:
@@ -279,7 +281,7 @@ class LaplacianPyramid:
         if self.filters[level] is None:
             return arr
         flat = as_float(arr).reshape(c, h * w)
-        out = np.empty_like(flat)
+        out = np.empty(flat.shape, np.result_type(flat, lap.dia.dtype))
         for ch, row in enumerate(flat):
             out[ch] = apply_poly_filter(lap, self.filters[level], row)
         return out.reshape(c, h, w)

@@ -29,8 +29,8 @@ class GuidedFilterParams:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:                  # NaN fails too
+            raise ValueError("eps must be finite and positive")
 
 
 def _box_mean(arr, radius):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .guided import GuidedFilterParams, guided_filter
-from .perceptual import build_mask_pyramid, conv_pyramid, conv_stack
+from .perceptual import StyleTarget, build_mask_pyramid, conv_pyramid, conv_stack
 from .tensor import (
     ConvLayer,
     NonFiniteError,
@@ -44,14 +44,13 @@ class StyleParams:
     """Learned style matrices: one c x c matrix per level per step.
 
     h[t][l] has side CHANNELS[l]. The matrices are not constrained symmetric
-    or PSD. lam_s is the style weight the set was trained with; target_grams
-    keep the style's Gram targets so the objective can be re-evaluated from a
-    checkpoint alone.
+    or PSD. target is the objective the set was trained against (its Gram
+    targets and style weight), so the objective can be re-evaluated from a
+    checkpoint alone; an untrained style has no Grams and weight 1.
     """
 
     h: list[list[Tensor]]
-    lam_s: float = 1.0
-    target_grams: list[np.ndarray] | None = None
+    target: StyleTarget = field(default_factory=lambda: StyleTarget([], 1.0))
 
 
 @dataclass

@@ -147,8 +147,8 @@ class StyleTarget:
     lam_s: float
 
     def __post_init__(self):
-        if self.lam_s <= 0:
-            raise ValueError("style weight must be positive")
+        if not 0 < self.lam_s < np.inf:                # NaN fails too
+            raise ValueError(f"style weight {self.lam_s} is not finite and > 0")
 
 
 def build_style_target(style: Tensor, fe: FeatureExtractor,
@@ -179,20 +179,24 @@ def build_style_target(style: Tensor, fe: FeatureExtractor,
 # loss terms
 
 
+def _mean_sq_diff(pairs, what: str) -> Tensor:
+    """Mean over the (level, a, b) pairs of ||a - b||_F^2 / a.size, taped;
+    `what` names the loss term in the shape-mismatch error."""
+    total = Tensor(np.asarray(0.0))
+    for lvl, a, b in pairs:
+        if a.shape != b.shape:
+            raise ValueError(f"{what} layer {lvl} shape mismatch: "
+                             f"{a.shape} vs {b.shape}")
+        term = sqsum(lincomb(a, b, 1.0, -1.0))
+        total = lincomb(total, term, 1.0, 1.0 / (len(pairs) * a.data.size))
+    return total
+
+
 def content_loss(x_feats: list[Tensor], c_feats: list[Tensor],
                  fe: FeatureExtractor) -> Tensor:
     """Mean over content layers of ||F - C||_F^2 / (pixels * channels)."""
-    total = Tensor(np.asarray(0.0))
-    for lvl in fe.content_layers:
-        f, c = x_feats[lvl], c_feats[lvl]
-        if f.shape != c.shape:
-            raise ValueError(f"content layer {lvl} shape mismatch: "
-                             f"{f.shape} vs {c.shape}")
-        n = f.height * f.width
-        term = sqsum(lincomb(f, c, 1.0, -1.0))
-        scale = 1.0 / (len(fe.content_layers) * n * f.channels)
-        total = lincomb(total, term, 1.0, scale)
-    return total
+    return _mean_sq_diff([(lvl, x_feats[lvl], c_feats[lvl])
+                          for lvl in fe.content_layers], "content")
 
 
 def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
@@ -201,21 +205,12 @@ def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
 
     content_masks, when given, restrict the Gram of the current features to a
     semantic region; the stored target Grams already carry the style-side
-    masking.
+    masking. Every Gram is recorded on the tape before any difference.
     """
-    total = Tensor(np.asarray(0.0))
-    for i, lvl in enumerate(fe.style_layers):
-        f = x_feats[lvl]
-        m = content_masks[lvl] if content_masks is not None else None
-        g = masked_gram(f, m)
-        tgt = Tensor(target.grams[i])
-        if g.shape != tgt.shape:
-            raise ValueError(f"style layer {lvl}: Gram {g.shape} vs "
-                             f"target {tgt.shape}")
-        term = sqsum(lincomb(g, tgt, 1.0, -1.0))
-        scale = 1.0 / (len(fe.style_layers) * f.channels ** 2)
-        total = lincomb(total, term, 1.0, scale)
-    return total
+    masks = content_masks if content_masks is not None else [None] * fe.depth
+    return _mean_sq_diff([(lvl, masked_gram(x_feats[lvl], masks[lvl]),
+                           Tensor(target.grams[i]))
+                          for i, lvl in enumerate(fe.style_layers)], "style")
 
 
 @dataclass

@@ -13,7 +13,7 @@ import copy
 import csv
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .network import (
 from .perceptual import (
     DEFAULT_CHANNELS,
     LossParts,
+    StyleTarget,
     build_style_target,
     default_extractor,
     extract_features,
@@ -148,14 +149,14 @@ class TrainResult:
     rows: list[LossParts]            # validation loss, indexed by epoch
 
 
-def _validation_row(model, val_imgs, val_feats, targets, fe):
+def _validation_row(model, val_imgs, val_feats, fe):
     acc = np.zeros(4)
     for i, img in enumerate(val_imgs):
-        style_i = i % len(targets)
+        style_i = i % model.n_styles
         x4 = unroll(img, model, style_i)
-        _, parts = total_loss(x4, val_feats[i], targets[style_i], fe,
-                              return_parts=True)
-        acc += (parts.total, parts.content, parts.style, parts.tv)
+        _, parts = total_loss(x4, val_feats[i], model.styles[style_i].target,
+                              fe, return_parts=True)
+        acc += astuple(parts)
     acc /= len(val_imgs)
     return LossParts(*(float(a) for a in acc))
 
@@ -174,12 +175,8 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
         raise ValueError(f"model has {model.n_styles} style slots, "
                          f"got {len(styles)} styles")
     fe = default_extractor(model.extractor_seed)
-    targets = []
-    for i, (style_img, style_mask) in enumerate(styles):
-        target = build_style_target(style_img, fe, style_mask)
-        model.styles[i].lam_s = target.lam_s
-        model.styles[i].target_grams = [g.copy() for g in target.grams]
-        targets.append(target)
+    for style, (style_img, style_mask) in zip(model.styles, styles):
+        style.target = build_style_target(style_img, fe, style_mask)
 
     images, _ = load_content_set(contents_dir, cfg.side)
     n_val = max(1, len(images) // 10)
@@ -192,7 +189,7 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, noise_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
-    rows = [_validation_row(model, val_imgs, val_feats, targets, fe)]
+    rows = [_validation_row(model, val_imgs, val_feats, fe)]
     last_good = copy.deepcopy(model)
     sample_counter = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -200,19 +197,18 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
         try:
             for idx in order:
                 img = train_imgs[idx]
-                style_i = sample_counter % len(targets)
+                style_i = sample_counter % model.n_styles
                 sample_counter += 1
                 amp = noise_rng.uniform(0.0, NOISE_BOUND)
                 noise = noise_rng.uniform(-amp, amp, size=img.data.shape)
                 with GradTape() as tape:
                     x4 = unroll(Tensor(img.data + noise), model, style_i)
-                    loss = total_loss(x4, train_feats[idx], targets[style_i],
-                                      fe)
+                    loss = total_loss(x4, train_feats[idx],
+                                      model.styles[style_i].target, fe)
                     grads = backward(tape, loss)
                 grad_list = [grads.get(p, np.zeros_like(p.data)) for p in params]
                 adam_step(adam, grad_list, cfg.lr)
-            rows.append(_validation_row(model, val_imgs, val_feats, targets,
-                                        fe))
+            rows.append(_validation_row(model, val_imgs, val_feats, fe))
         except NonFiniteError as exc:
             err = DivergenceError(
                 f"training diverged in epoch {epoch}: {exc}")
@@ -228,8 +224,7 @@ def write_training_log(path, rows: list[LossParts]):
         writer.writerow(["epoch", "val_total", "val_content", "val_style",
                          "val_tv"])
         for epoch, row in enumerate(rows):
-            writer.writerow([epoch, repr(row.total), repr(row.content),
-                             repr(row.style), repr(row.tv)])
+            writer.writerow([epoch, *map(repr, astuple(row))])
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +288,10 @@ def save_checkpoint(model: UnrolledModel, path):
         f"<HHHH{len(CHANNELS)}IIQII", VERSION, SECTION_MODEL, len(CHANNELS),
         0, *CHANNELS, model.n_styles, model.extractor_seed, 0, 0)
     for style in model.styles:
-        buf += struct.pack("<d", style.lam_s)
+        buf += struct.pack("<d", style.target.lam_s)
     for style in model.styles:
-        grams = style.target_grams or []
-        buf += struct.pack("<I", len(grams))
-        for g in grams:
+        buf += struct.pack("<I", len(style.target.grams))
+        for g in style.target.grams:
             buf += struct.pack("<I", g.shape[0])
             buf += np.ascontiguousarray(g, dtype="<f8").tobytes()
     for p in model.parameters():        # the payload order of layer_stacks
@@ -334,6 +328,6 @@ def load_checkpoint(path) -> UnrolledModel:
         all_grams.append(grams)
     fwd, bwd, hs = layer_stacks(reader.take_weights, n_styles)
     reader.check_end()
-    styles = [StyleParams(h, lam, grams or None)
+    styles = [StyleParams(h, StyleTarget(grams, lam))
               for h, lam, grams in zip(hs, lam_s, all_grams)]
     return UnrolledModel(fwd, bwd, styles, extractor_seed=extractor_seed)

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -11,10 +12,9 @@ from conftest import smooth_image
 from gradstyle import cli
 from gradstyle.cli import main
 from gradstyle.imagecodec import read_image, write_ppm
-from gradstyle.network import NUM_STEPS, descent_step
+from gradstyle.network import NUM_STEPS, descent_step, init_model
 from gradstyle.perceptual import (
     LossWeights,
-    StyleTarget,
     default_extractor,
     extract_features,
     total_loss,
@@ -165,6 +165,19 @@ class TestStylizeCommand:
         assert main(["stylize", "--model", str(bad), "--input", str(inp),
                      "--output", str(tmp_path / "o.ppm")]) == 3
 
+    def test_malformed_style_weight_exits_3(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(0), ckpt)
+        data = bytearray(ckpt.read_bytes())
+        data[48:56] = struct.pack("<d", np.nan)     # style 0's lam_s
+        ckpt.write_bytes(bytes(data))
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, smooth_image(np.random.default_rng(17), 16))
+        assert main(["stylize", "--model", str(ckpt), "--input", str(inp),
+                     "--output", str(tmp_path / "o.ppm")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "style weight" in lines[0]
+
     @pytest.mark.parametrize("flag", ["--content-mask", "--blend-mask"])
     def test_missing_mask_exits_3_before_the_pyramid(self, workspace, tmp_path,
                                                      monkeypatch, flag):
@@ -219,8 +232,7 @@ class TestCompareCommand:
         model = load_checkpoint(workspace["ckpt"])
         fe = default_extractor(model.extractor_seed)
         content = read_image(inp)
-        target = StyleTarget(model.styles[0].target_grams,
-                             model.styles[0].lam_s)
+        target = model.styles[0].target
         feats = extract_features(content, fe)
         _, parts = total_loss(content, feats, target, fe, LossWeights(),
                               return_parts=True)

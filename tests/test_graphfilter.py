@@ -15,6 +15,7 @@ from gradstyle import graphfilter
 from gradstyle.graphfilter import (
     DEFAULT_MATTING_EPS,
     ChebFilter,
+    LaplacianPyramid,
     SparseLaplacian,
     apply_poly_filter,
     build_pyramid,
@@ -337,15 +338,24 @@ class TestApplyPolyFilter:
 
     def test_output_dtype_follows_promotion(self):
         # the recurrence adds the signal to the Laplacian's products, so a
-        # float32 signal on a float64 Laplacian yields float64
+        # float32 signal on a float64 Laplacian yields float64; a pyramid
+        # level's filter_map returns the same, not rounded to the map's dtype
         lap = matting_laplacian(random_rgb(6))
         f = jackson_cheb_coeffs(5, 0.2 * lap.lambda_max, lap.lambda_max)
         x = np.random.default_rng(6).standard_normal(lap.n)
+        maps = np.random.default_rng(7).standard_normal(
+            (2, lap.height, lap.width))
         for lap_dtype in (np.float32, np.float64):
             op = lap if lap_dtype == np.float64 else as_float32(lap)
             for x_dtype in (np.float32, np.float64):
                 out = apply_poly_filter(op, f, x.astype(x_dtype))
                 assert out.dtype == np.promote_types(lap_dtype, x_dtype)
+                arr = maps.astype(x_dtype)
+                got = LaplacianPyramid([op], [f]).filter_map(0, arr)
+                ref = np.stack([apply_poly_filter(op, f, ch.reshape(-1))
+                                for ch in arr]).reshape(arr.shape)
+                assert got.dtype == ref.dtype == out.dtype
+                np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_out_of_place_recurrence(self, dtype):

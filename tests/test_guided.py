@@ -84,6 +84,8 @@ class TestGuidedFilter:
             GuidedFilterParams(eps=0.0)
         with pytest.raises(ValueError):
             GuidedFilterParams(eps=float("nan"))
+        with pytest.raises(ValueError):
+            GuidedFilterParams(eps=float("inf"))
 
 
 @settings(max_examples=30, deadline=None)

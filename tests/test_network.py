@@ -28,6 +28,7 @@ from gradstyle.network import (
     stylize,
     unroll,
 )
+from gradstyle.perceptual import StyleTarget
 from gradstyle.tensor import (
     GradTape,
     NonFiniteError,
@@ -642,8 +643,8 @@ class TestFloat32Direction:
         for p in model.parameters():    # distinct values catch a misordering
             p.data[:] = rng.standard_normal(p.shape)
         for s, style in enumerate(model.styles):
-            style.lam_s = 0.5 + s
-            style.target_grams = [rng.standard_normal((c, c)) for c in (8, 16)]
+            style.target = StyleTarget(
+                [rng.standard_normal((c, c)) for c in (8, 16)], 0.5 + s)
         model32 = model.astype(np.float32)
         assert isinstance(model32, UnrolledModel)
         assert model32.extractor_seed == model.extractor_seed
@@ -655,8 +656,7 @@ class TestFloat32Direction:
             np.testing.assert_array_equal(b.data, a.data.astype(np.float32))
         assert len(model32.styles) == n_styles
         for a, b in zip(model.styles, model32.styles):
-            assert b.lam_s == a.lam_s
-            assert b.target_grams is a.target_grams
+            assert b.target is a.target
 
     def test_weight_beyond_float32_is_non_finite(self):
         model = seeded_model(26)

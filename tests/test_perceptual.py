@@ -118,6 +118,17 @@ class TestContentLoss:
 
 
 class TestStyleLoss:
+    def test_target_gram_shape_mismatch_rejected(self, rng):
+        fe = make_small_extractor()
+        xf = extract_features(random_image(rng), fe)
+        grams = build_style_target(random_image(rng), fe).grams
+        lvl = fe.style_layers[-1]
+        side = grams[-1].shape[0] + 1
+        target = StyleTarget(grams[:-1] + [np.eye(side)], 1.0)
+        with pytest.raises(ValueError,
+                           match=f"style layer {lvl} shape mismatch"):
+            style_loss(xf, target, fe)
+
     def test_matched_grams_zero(self, rng):
         fe = make_small_extractor()
         x = random_image(rng)

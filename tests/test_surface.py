@@ -59,3 +59,29 @@ def test_perfbench_gradstyle_imports_resolve(path):
                   if isinstance(node, ast.ImportFrom)
                   and (node.module or "").split(".")[0] == "gradstyle"],
                  str(path))
+
+
+def _checked_imports(tree):
+    """Import statements outside `from __future__` and `if TYPE_CHECKING:`."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            skipped.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and id(node) not in skipped
+            and getattr(node, "module", None) != "__future__"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "gradstyle").glob("*.py")
+                   if p.name != "__init__.py"),  # __init__ imports to re-export
+    ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [alias.asname or alias.name.split(".")[0]
+              for node in _checked_imports(tree) for alias in node.names
+              if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused, f"{path.name} imports but never uses {unused}"

@@ -265,7 +265,28 @@ class TestCheckpoint:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.extractor_seed == model.extractor_seed
-        assert loaded.styles[0].lam_s == model.styles[0].lam_s
+        assert loaded.styles[0].target.lam_s == model.styles[0].target.lam_s
+
+    def test_untrained_roundtrip_bit_exact(self, tmp_path):
+        # an untrained style has no Grams and weight 1, and keeps both
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(init_model(0), p1)
+        loaded = load_checkpoint(p1)
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert loaded.styles[0].target.grams == []
+        assert loaded.styles[0].target.lam_s == 1.0
+
+    @pytest.mark.parametrize("lam_s", [0.0, -1.0, np.nan, np.inf])
+    def test_malformed_style_weight_rejected(self, tmp_path, lam_s):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(0), path)
+        data = bytearray(path.read_bytes())
+        # style 0's f64 lam_s follows the header
+        data[HEADER_BYTES:HEADER_BYTES + 8] = struct.pack("<d", lam_s)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="style weight"):
+            load_checkpoint(path)
 
     def test_quantization_applied_once(self, tmp_path, rng):
         model = self._trained_model(tmp_path, rng)
@@ -279,7 +300,7 @@ class TestCheckpoint:
         model = self._trained_model(tmp_path, rng)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
-        gram_sides = [g.shape[0] for g in model.styles[0].target_grams]
+        gram_sides = [g.shape[0] for g in model.styles[0].target.grams]
         metadata = 8 + 4 + sum(4 + 8 * s * s for s in gram_sides)
         weights = 4 * (FB_WEIGHTS + 4 * STYLE_WEIGHTS_PER_STEP)
         assert path.stat().st_size == HEADER_BYTES + metadata + weights
