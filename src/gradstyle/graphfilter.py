@@ -32,6 +32,7 @@ DEFAULT_ORDER = 5
 DEFAULT_LAMBDA_FRAC = 0.2
 LAMBDA_MAX_ITERS = 200
 LAMBDA_MAX_TOL = 1e-4
+_BAND_WINDOWS = 8192                  # per band of matting_laplacian's assembly
 
 
 @dataclass
@@ -81,17 +82,25 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
 
     Rows sum to zero and the assembled matrix is PSD. epsilon must be
     positive: S_k is singular on a flat window, and a negative epsilon
-    breaks PSD. The 3x3 inverses of all windows come from one closed-form
-    Cholesky (inv_sym3), with the window axis last throughout, and L is
-    assembled in float64. A window couples pixels at most 2 apart, so L has
-    25 diagonals, one per offset (dy, dx) in [-2, 2]^2, at the flat offset
-    dy*w + dx. Position p of every window at once is one slice of the
-    image, so the values of one (p, q) pair over all windows form one
-    vector. DIA storage keeps entry (i, j) at column j, the q pixel, so that
-    vector is added with one slice into the diagonal of offset q - p; 81
-    such adds assemble L, and no other form is built. When w <= 4 two
+    breaks PSD. L is assembled in float64. A window couples pixels at most
+    2 apart, so L has 25 diagonals, one per offset (dy, dx) in [-2, 2]^2, at
+    the flat offset dy*w + dx. DIA storage keeps entry (i, j) at column j,
+    the q pixel, so the term of pixel pair (p, q) of a window lands in the
+    diagonal of offset q - p, and no other form is built. When w <= 4 two
     (dy, dx) share one flat offset and so one diagonal, which is exact: at
     any pixel at most one of them points inside the image.
+
+    The diagonals are filled one band of rows [r0, r1) at a time, each of
+    about _BAND_WINDOWS windows and two rows at least, so no per-window
+    stack spans the whole image. A band reads the window rows [r0 - 2, r1),
+    whose pixels reach it, and two at least where the image has two, since
+    an einsum over one window sums in another order than over many.
+    Position p of those windows is one slice of the image, and their 3x3
+    inverses come from one closed-form Cholesky (inv_sym3), window axis
+    last. The values of one (p, q) pair over the band's windows form one
+    vector, added with one slice into the band's rows of its diagonal.
+    Every band runs its 81 adds in p-major order, so each entry gets the
+    same sums in the same order as from a whole-image assembly.
     """
     import scipy.sparse as sp
 
@@ -106,29 +115,41 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     hk, wk = h - 2, w - 2                             # window top-left corners
-    # xc[p, c, k]: channel c of pixel p (row-major in the 3x3 window) of
-    # window k, less the window mean
-    xc = np.stack([data[:, a:a + hk, b:b + wk]
-                   for a in range(3) for b in range(3)])
-    xc -= xc.mean(axis=0)
-    xc = xc.reshape(9, 3, hk * wk)
-    cov = np.einsum("pck,pdk->cdk", xc, xc) / 9.0
-    cov[[0, 1, 2], [0, 1, 2]] += epsilon / 9.0
-    # xi[p, c, k] = ((S_k + eps/9 I)^-1 (I_p - mu_k))_c
-    xi = np.einsum("pdk,dck->pck", xc, inv_sym3(cov))
     # sorted offsets, so a product sums each row in column order, as a CSR
     # product does; slot[dy + 2, dx + 2] is the diagonal of offset (dy, dx)
     uniq, slot = np.unique(np.arange(-2, 3)[:, None] * w + np.arange(-2, 3),
                            return_inverse=True)
     slot = slot.reshape(5, 5)                         # NumPy 1.x returns it flat
     diags = np.zeros((len(uniq), h, w))
-    for p in range(9):
-        pa, pb = divmod(p, 3)
-        for q in range(9):
-            qa, qb = divmod(q, 3)
-            quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(hk, wk)
-            diags[slot[qa - pa + 2, qb - pb + 2], qa:qa + hk, qb:qb + wk] += (
-                float(p == q) - (1.0 + quad) / 9.0)
+    band = max(2, _BAND_WINDOWS // w)
+    for r0 in range(0, h, band):
+        r1 = min(r0 + band, h)
+        # window rows [k0, k1): those whose pixels reach rows [r0, r1), and
+        # two at least
+        k1 = min(r1, hk)
+        k0 = max(min(r0, k1) - 2, 0)
+        # xc[p, c, k]: channel c of pixel p (row-major in the 3x3 window) of
+        # window k, less the window mean
+        xc = np.stack([data[:, k0 + a:k1 + a, b:b + wk]
+                       for a in range(3) for b in range(3)])
+        xc -= xc.mean(axis=0)
+        xc = xc.reshape(9, 3, -1)
+        cov = np.einsum("pck,pdk->cdk", xc, xc) / 9.0
+        cov[[0, 1, 2], [0, 1, 2]] += epsilon / 9.0
+        # xi[p, c, k] = ((S_k + eps/9 I)^-1 (I_p - mu_k))_c
+        xi = np.einsum("pdk,dck->pck", xc, inv_sym3(cov))
+        for p in range(9):
+            pa, pb = divmod(p, 3)
+            for q in range(9):
+                qa, qb = divmod(q, 3)
+                # window row k adds to row k + qa; keep rows [r0, r1)
+                lo, hi = max(r0 - qa, k0), min(r1 - qa, k1)
+                if lo < hi:
+                    quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(-1, wk)
+                    diags[slot[qa - pa + 2, qb - pb + 2],
+                          lo + qa:hi + qa, qb:qb + wk] += (
+                        float(p == q) - (1.0 + quad[lo - k0:hi - k0]) / 9.0)
+        del xc, cov, xi                 # freed before the next band's stacks
     n = h * w
     return SparseLaplacian(sp.dia_matrix((diags.reshape(-1, n), uniq),
                                          shape=(n, n)), h, w)

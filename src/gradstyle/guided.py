@@ -3,10 +3,11 @@
 Within every box window the output is modelled as an affine function of the
 guide image; per-pixel coefficients are averaged over all covering windows.
 Box means use running sums, so the cost is linear in pixel count. Windows are
-clamped at the borders (they shrink and the sums are renormalized). The
-regularized guide covariance of every window is inverted once, in closed
-form (tensor.inv_sym3), and that inverse is shared by all channels of the
-filtered image; the filter runs in float64.
+clamped at the borders (they shrink and the sums are renormalized), and every
+box mean runs on one (h, w) plane. The regularized guide covariance of every
+window is formed from its six lower-triangle guide products and inverted
+once, in closed form (tensor.inv_sym3); that inverse is shared by all
+channels of the filtered image. The filter runs in float64.
 """
 
 from __future__ import annotations
@@ -27,25 +28,25 @@ class GuidedFilterParams:
     eps: float = 1e-4
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
+        if not isinstance(self.radius, (int, np.integer)) or self.radius < 1:
+            raise ValueError(f"radius must be an integer >= 1, got {self.radius!r}")
         if not 0 < self.eps < np.inf:                  # NaN fails too
             raise ValueError("eps must be finite and positive")
 
 
 def _box_mean(arr, radius):
-    """Mean over clamped (2r+1)-square windows for each trailing channel.
+    """Mean over clamped (2r+1)-square windows of an (h, w) plane, or of
+    each trailing channel of an (h, w, k) array, one plane at a time.
 
-    arr: (h, w) or (h, w, k). Integral-image implementation: O(h*w) per
-    channel regardless of radius.
+    Integral-image implementation: O(h*w) per plane regardless of radius.
     """
     global BOX_OPS
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
-    h, w, k = arr.shape
-    BOX_OPS += h * w * k
-    integral = np.zeros((h + 1, w + 1, k))
+    if arr.ndim == 3:
+        return np.stack([_box_mean(arr[:, :, c], radius)
+                         for c in range(arr.shape[2])], axis=-1)
+    h, w = arr.shape
+    BOX_OPS += h * w
+    integral = np.zeros((h + 1, w + 1))
     np.cumsum(arr, axis=0, out=integral[1:, 1:])
     np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
     r = radius
@@ -53,12 +54,9 @@ def _box_mean(arr, radius):
     j = np.arange(w)
     i1, i2 = np.maximum(i - r, 0), np.minimum(i + r, h - 1) + 1
     j1, j2 = np.maximum(j - r, 0), np.minimum(j + r, w - 1) + 1
-    below, above = np.take(integral, i2, axis=0), np.take(integral, i1, axis=0)
-    sums = (np.take(below, j2, axis=1) - np.take(above, j2, axis=1)
-            - np.take(below, j1, axis=1) + np.take(above, j1, axis=1))
-    counts = ((i2 - i1)[:, None] * (j2 - j1)[None, :]).astype(np.float64)
-    out = sums / counts[:, :, None]
-    return out[:, :, 0] if squeeze else out
+    below, above = integral[i2], integral[i1]
+    sums = below[:, j2] - above[:, j2] - below[:, j1] + above[:, j1]
+    return sums / ((i2 - i1)[:, None] * (j2 - j1)[None, :]).astype(np.float64)
 
 
 def guided_filter(p: Tensor, guide: Tensor, params: GuidedFilterParams | None = None) -> Tensor:
@@ -72,13 +70,11 @@ def guided_filter(p: Tensor, guide: Tensor, params: GuidedFilterParams | None = 
     r = params.radius
     img = np.moveaxis(gd, 0, 2)                    # (h, w, 3)
     mean_i = _box_mean(img, r)
-    # guide covariance per window: E[I I^T] - E[I] E[I]^T, plus regularizer
-    outer = img[:, :, :, None] * img[:, :, None, :]
-    h, w = img.shape[:2]
-    corr_ii = _box_mean(outer.reshape(h, w, 9), r).reshape(h, w, 3, 3)
-    cov_ii = corr_ii - mean_i[:, :, :, None] * mean_i[:, :, None, :]
-    # (3, 3, h, w), shared by every channel of p
-    inv = inv_sym3((cov_ii + params.eps * np.eye(3)).transpose(2, 3, 0, 1))
+    # the lower triangle of each window's guide covariance, the only part
+    # inv_sym3 reads: E[I I^T] - E[I] E[I]^T, plus the regularizer
+    inv = inv_sym3({(i, j): _box_mean(gd[i] * gd[j], r)
+                    - mean_i[:, :, i] * mean_i[:, :, j] + params.eps * (i == j)
+                    for i in range(3) for j in range(i + 1)})
     out = np.empty_like(p.data)
     for c in range(p.data.shape[0]):
         pc = p.data[c]

@@ -11,6 +11,7 @@ applied at inference time without retraining.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -199,7 +200,7 @@ def _apply_hook(hooks, level, t: Tensor) -> Tensor:
     return Tensor(np.asarray(hooks.filter_map(level, t.data), dtype=t.data.dtype))
 
 
-def backward_map(corrections: list[Tensor], model: UnrolledModel,
+def backward_map(corrections: Iterable[Tensor], model: UnrolledModel,
                  filter_hooks=None) -> Tensor:
     """Mirror the forward pyramid back to a 3-channel descent direction.
 
@@ -207,15 +208,23 @@ def backward_map(corrections: list[Tensor], model: UnrolledModel,
     each conv; the final conv has no ReLU so the direction can be negative.
     With hooks active, every correction map and every conv output (before its
     ReLU) is graph-filtered channelwise at the matching scale.
+
+    corrections, shallowest first, may be any iterable; it is copied, never
+    mutated. The copy drops each map once it is folded into its conv's
+    input, and with hooks that input once its conv has run, so maps no
+    caller holds (descent_step passes a generator) are freed as it climbs.
     """
+    corrections = list(corrections)
     cur = None
     for layer, level in zip(model.bwd, reversed(range(len(corrections)))):
-        corr = _apply_hook(filter_hooks, level, corrections[level])
-        x = corr if cur is None else lincomb(corr, bilinear_up2(cur), 1.0, 1.0)
+        x = _apply_hook(filter_hooks, level, corrections.pop())
+        if cur is not None:
+            x = lincomb(x, bilinear_up2(cur), 1.0, 1.0)
         if filter_hooks is None:
             cur = conv2d_reflect(x, layer)
         else:
             z = conv2d_reflect(x, replace(layer, relu=False))
+            del x
             z = _apply_hook(filter_hooks, level, z)
             cur = relu(z) if layer.relu else z
     return cur
@@ -243,11 +252,12 @@ def descent_step(x: Tensor, t: int, model: UnrolledModel, style_id: int = 0,
         raise ValueError(f"style id {style_id} out of range")
     opts = opts or InferenceOptions()
     masks = opts.content_masks or [None] * len(CHANNELS)
-    # the features are dead once corrected: not holding them through the
-    # backward pyramid lowers an untaped step's peak memory
+    # the features are dead once corrected, and each correction once the
+    # backward pyramid has folded it in: a generator leaves backward_map the
+    # only holder of either, which lowers an untaped step's peak memory
     xd = _cast(x, model.fwd[0].kernel.data.dtype)
-    corrections = [style_correction(feat, h_mat, m) for feat, h_mat, m in
-                   zip(forward_maps(xd, model), model.styles[style_id].h[t], masks)]
+    corrections = (style_correction(feat, h_mat, m) for feat, h_mat, m in
+                   zip(forward_maps(xd, model), model.styles[style_id].h[t], masks))
     g = backward_map(corrections, model, opts.filter_hooks)
     return lincomb(x, _cast(g, x.data.dtype), 1.0, -opts.alpha)
 

@@ -242,7 +242,8 @@ def inv_sym3(m: np.ndarray) -> np.ndarray:
     m[i, j, ...]: the matrix axes first, then any plane shape.
 
     Closed-form Cholesky, plane-wise: m = L L^T, U = L^-1, m^-1 = U^T U.
-    Only the lower triangle is read. Unlike the adjugate, whose cofactors
+    Only the lower triangle is read, so m may also be a dict that maps each
+    (i, j) with i >= j to its plane. Unlike the adjugate, whose cofactors
     cancel when m is near rank 1, every step divides by a pivot of L, so
     the error grows like cond(m) as it does for LAPACK's inverse.
     """

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def no_lapack_solves(monkeypatch):
         raise AssertionError("3x3 systems are solved in closed form")
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
+
+
+def traced_peak(fn):
+    """tracemalloc peak, in bytes, of one call of fn made after a warm-up
+    call, so one-time allocations (caches, first imports) do not count."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_small_extractor(seed=5, channels=(4, 8, 8), style_layers=None,

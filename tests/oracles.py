@@ -3,8 +3,11 @@
 Everything here is deliberately written as plain loop nests, dense linear
 algebra or, for the matting Laplacian's sparse structure, COO triplets summed
 by scipy, sharing no code path with the library implementations it checks.
-The one exception is stylize_float64, the float64 reference that stylize's
-float32 descent direction is held to.
+The exceptions are stylize_float64, the float64 reference that stylize's
+float32 descent direction is held to, and the whole-image forms of the
+matting-Laplacian assembly and the guided filter, which the banded and
+plane-wise library forms must match bit for bit: they share the library's
+closed-form 3x3 inverse (inv_sym3), since only the same arithmetic can.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gradstyle.network import SIDE_MULTIPLE, InferenceOptions, unroll
-from gradstyle.tensor import Tensor, mirror_pad
+from gradstyle.tensor import Tensor, inv_sym3, mirror_pad
 
 
 def reflect_index(i, n):
@@ -216,6 +219,76 @@ def matting_laplacian_coo(img, eps):
     rows = np.broadcast_to(win_idx[:, :, None], vals.shape).ravel()
     cols = np.broadcast_to(win_idx[:, None, :], vals.shape).ravel()
     return sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def matting_diagonals_whole_image(img, eps):
+    """(diagonals, offsets) of the matting Laplacian, every window's stacks
+    built over the whole image at once: the assembly matting_laplacian ran
+    before it went band by band."""
+    _, h, w = img.shape
+    hk, wk = h - 2, w - 2
+    xc = np.stack([img[:, a:a + hk, b:b + wk]
+                   for a in range(3) for b in range(3)])
+    xc -= xc.mean(axis=0)
+    xc = xc.reshape(9, 3, hk * wk)
+    cov = np.einsum("pck,pdk->cdk", xc, xc) / 9.0
+    cov[[0, 1, 2], [0, 1, 2]] += eps / 9.0
+    xi = np.einsum("pdk,dck->pck", xc, inv_sym3(cov))
+    uniq, slot = np.unique(np.arange(-2, 3)[:, None] * w + np.arange(-2, 3),
+                           return_inverse=True)
+    slot = slot.reshape(5, 5)
+    diags = np.zeros((len(uniq), h, w))
+    for p in range(9):
+        pa, pb = divmod(p, 3)
+        for q in range(9):
+            qa, qb = divmod(q, 3)
+            quad = np.einsum("ik,ik->k", xi[p], xc[q]).reshape(hk, wk)
+            diags[slot[qa - pa + 2, qb - pb + 2], qa:qa + hk, qb:qb + wk] += (
+                float(p == q) - (1.0 + quad) / 9.0)
+    return diags.reshape(len(uniq), h * w), uniq
+
+
+def _box_mean_channels_last(arr, radius):
+    """Clamped box mean of every trailing channel of an (h, w, k) array at
+    once, by one k-channel integral image and np.take gathers."""
+    h, w, k = arr.shape
+    integral = np.zeros((h + 1, w + 1, k))
+    np.cumsum(arr, axis=0, out=integral[1:, 1:])
+    np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
+    i, j = np.arange(h), np.arange(w)
+    i1, i2 = np.maximum(i - radius, 0), np.minimum(i + radius, h - 1) + 1
+    j1, j2 = np.maximum(j - radius, 0), np.minimum(j + radius, w - 1) + 1
+    below, above = np.take(integral, i2, axis=0), np.take(integral, i1, axis=0)
+    sums = (np.take(below, j2, axis=1) - np.take(above, j2, axis=1)
+            - np.take(below, j1, axis=1) + np.take(above, j1, axis=1))
+    counts = ((i2 - i1)[:, None] * (j2 - j1)[None, :]).astype(np.float64)
+    return sums / counts[:, :, None]
+
+
+def guided_filter_channels_last(p, guide, radius, eps):
+    """The color-guide filter with (h, w, k) box means and the full (h, w,
+    3, 3) guide outer product: the form guided_filter had before it went
+    plane by plane."""
+    img = np.moveaxis(guide, 0, 2)
+    h, w = img.shape[:2]
+    mean_i = _box_mean_channels_last(img, radius)
+    outer = img[:, :, :, None] * img[:, :, None, :]
+    corr_ii = _box_mean_channels_last(outer.reshape(h, w, 9),
+                                      radius).reshape(h, w, 3, 3)
+    cov_ii = corr_ii - mean_i[:, :, :, None] * mean_i[:, :, None, :]
+    inv = inv_sym3((cov_ii + eps * np.eye(3)).transpose(2, 3, 0, 1))
+    out = np.empty_like(p)
+    for c in range(p.shape[0]):
+        pc = p[c][:, :, None]
+        mean_p = _box_mean_channels_last(pc, radius)[:, :, 0]
+        cov_ip = (_box_mean_channels_last(img * pc, radius)
+                  - mean_i * mean_p[:, :, None])
+        a = np.einsum("ijhw,hwj->hwi", inv, cov_ip)
+        b = mean_p - np.einsum("hwi,hwi->hw", a, mean_i)
+        out[c] = (np.einsum("hwi,hwi->hw", _box_mean_channels_last(a, radius),
+                            img)
+                  + _box_mean_channels_last(b[:, :, None], radius)[:, :, 0])
+    return out
 
 
 def spectral_filter_dense(lap_dense, response_fn, signal):

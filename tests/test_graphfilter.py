@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from conftest import traced_peak
 from gradstyle import graphfilter
 from gradstyle.graphfilter import (
     DEFAULT_MATTING_EPS,
@@ -161,16 +163,18 @@ class TestMattingLaplacian:
         assert mat.nnz == offset_nnz(256, 256) == 1_623_076
 
     def test_peak_memory_bounded(self):
-        # the 25-plane assembly peaks near 13 MB here; one that holds 81
-        # int64 (row, col) pairs and a value per window peaks at 82.6 MB
+        # the banded assembly peaks near 8.0 MB here, 3.3 MB of it the 25
+        # diagonals; stacks over the whole image peak at 11.7 MB, and a COO
+        # assembly of 81 int64 (row, col) pairs and a value per window at
+        # 82.6 MB
         img = random_rgb(3, 128, 128)
-        tracemalloc.start()
-        try:
-            matting_laplacian(img)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        assert traced_peak(lambda: matting_laplacian(img)) < 10e6
+
+    def test_peak_memory_bounded_at_256(self):
+        # 13.1 MB of diagonals plus one band's stacks peak near 18.2 MB;
+        # stacks over the whole image add 34 MB, for a 47.2 MB peak
+        img = random_rgb(6, 256, 256)
+        assert traced_peak(lambda: matting_laplacian(img)) < 30e6
 
     def test_pyramid_keeps_no_csr(self):
         # float32 diagonals alone keep 4 bytes per slot (2.2 MB for this
@@ -187,6 +191,42 @@ class TestMattingLaplacian:
         assert all(lap.dia.dtype == np.float32 for lap in pyramid.laplacians)
         slots = 25 * sum(lap.n for lap in pyramid.laplacians)
         assert kept < 5 * slots
+
+
+def assert_matches_whole_image_assembly(img):
+    lap = matting_laplacian(img)
+    diags, offsets = oracles.matting_diagonals_whole_image(
+        img, DEFAULT_MATTING_EPS)
+    np.testing.assert_array_equal(lap.dia.offsets, offsets)
+    np.testing.assert_array_equal(lap.dia.data, diags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(2, 5), st.integers(1, 4),
+       st.integers(-1, 1),
+       st.sampled_from(["random", "constant", "checkerboard"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(3, 2, 1, 1, "random", 0)           # one 3x3 window
+@example(11, 3, 1, 0, "checkerboard", 1)    # 3xn: one band holds every row
+@example(3, 2, 3, 1, "random", 2)           # a last band of one row
+def test_banded_assembly_bit_equal_to_whole_image(w, band, bands, delta, kind,
+                                                  seed):
+    # bands of `band` rows: heights of one band, a band +- 1 and several
+    # bands, each entry summed in the whole-image order
+    h = max(3, band * bands + delta)
+    img = make_image(kind, h, w, np.random.default_rng(seed))
+    with mock.patch.object(graphfilter, "_BAND_WINDOWS", band * w):
+        assert_matches_whole_image_assembly(img)
+
+
+@pytest.mark.parametrize("h, w", [(3, 3), (3, 40), (3, 8193), (4, 8193),
+                                  (3, 2048), (4, 2048), (5, 2048), (9, 2048),
+                                  (2729, 3), (2730, 3), (2731, 3), (5461, 3)])
+def test_default_bands_bit_equal_to_whole_image(h, w):
+    # widths of 8193, 2048 and 3 give bands of 2, 4 and 2730 rows; at width
+    # 3 a band of one window row would sum its einsums in another order
+    img = make_image("random", h, w, np.random.default_rng(h + w))
+    assert_matches_whole_image_assembly(img)
 
 
 @settings(max_examples=40, deadline=None)

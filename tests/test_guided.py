@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import smooth_image
+from conftest import smooth_image, traced_peak
 from gradstyle import guided
 from gradstyle.guided import GuidedFilterParams, guided_filter
 from gradstyle.tensor import Tensor
@@ -87,6 +87,48 @@ class TestGuidedFilter:
         with pytest.raises(ValueError):
             GuidedFilterParams(eps=float("inf"))
 
+    @pytest.mark.parametrize("radius", [2.5, 3.0, "3", None])
+    def test_non_integer_radius_rejected(self, radius):
+        # a float radius used to pass and then fail inside the box sums
+        with pytest.raises(ValueError, match="integer"):
+            GuidedFilterParams(radius=radius)
+
+    def test_numpy_integer_radius_accepted(self):
+        assert GuidedFilterParams(radius=np.int64(3)).radius == 3
+
+    def test_peak_memory_bounded(self):
+        # plane-wise box means and six guide products peak near 21 MB at
+        # 250^2; (h, w, 9) box means of the full guide outer product, 36 MB
+        rng = np.random.default_rng(7)
+        p = Tensor(rng.uniform(0, 1, (3, 250, 250)))
+        guide = Tensor(rng.uniform(0, 1, (3, 250, 250)))
+        assert traced_peak(lambda: guided_filter(p, guide)) < 28e6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4),
+       st.integers(1, 16), st.sampled_from(["random", "constant",
+                                            "checkerboard"]),
+       st.sampled_from([1e-8, 1e-4, 1e-1]), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 1, 1, "random", 1e-4, 0)
+@example(5, 9, 4, 9, "checkerboard", 1e-8, 1)
+def test_bit_equal_to_channels_last_filter(h, w, channels, radius, kind, eps,
+                                           seed):
+    # radii from 1 up to past the image side, on 1-4 channels
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        guide = rng.uniform(0, 1, (3, h, w))
+    elif kind == "constant":
+        guide = np.broadcast_to(rng.uniform(0, 1, (3, 1, 1)), (3, h, w))
+    else:
+        board = np.indices((h, w)).sum(axis=0) % 2
+        guide = np.where(board, rng.uniform(0, 1, (3, 1, 1)),
+                         rng.uniform(0, 1, (3, 1, 1)))
+    p = rng.uniform(0, 1, (channels, h, w))
+    out = guided_filter(Tensor(p), Tensor(guide), GuidedFilterParams(radius, eps))
+    ref = oracles.guided_filter_channels_last(p, guide, radius, eps)
+    np.testing.assert_array_equal(out.data, ref)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 3),
@@ -115,3 +157,14 @@ def test_box_ops_scale_linearly_with_pixels(rng):
         costs[side] = guided.BOX_OPS
     # doubling each side quadruples the pixels and exactly quadruples the work
     assert costs[32] == 4 * costs[16]
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_box_ops_count_planes(channels, rng):
+    # 3 guide means and the 6 lower-triangle guide products, then per
+    # channel its mean, 3 guide cross products, 3 slopes and 1 offset
+    guide = textured_image(rng, 10)
+    p = Tensor(rng.uniform(0, 1, (channels, 10, 10)))
+    guided.BOX_OPS = 0
+    guided_filter(p, guide, GuidedFilterParams(radius=2))
+    assert guided.BOX_OPS == (3 + 6 + 8 * channels) * 10 * 10

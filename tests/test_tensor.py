@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak
 from gradstyle.network import init_model, unroll
 from gradstyle.perceptual import (
     build_style_target,
@@ -207,12 +208,8 @@ class TestBackward:
         c_feats = extract_features(img, fe)
         with GradTape() as tape:
             loss = total_loss(unroll(img, model), c_feats, target, fe)
-            tracemalloc.start()
-            try:
-                grads = backward(tape, loss)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            grads = backward(tape, loss)
+            peak = traced_peak(lambda: backward(tape, loss))
         assert set(model.parameters()) <= set(grads)
         assert peak < 12e6
 
@@ -438,13 +435,7 @@ class TestConvMemory:
         with GradTape() as tape:
             conv2d_reflect(x, layer)
         vjp = tape.records[0].vjp
-        tracemalloc.start()
-        try:
-            vjp(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        assert traced_peak(lambda: vjp(g)) < 4e6
 
     def test_taped_conv_keeps_no_column_matrix(self):
         x, layer, _ = self._case(16, 32)
