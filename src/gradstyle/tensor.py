@@ -9,6 +9,9 @@ be differentiated by replaying the tape backward.
 A tensor holds float64, or float32 when it is given a float32 array; every
 primitive computes in its inputs' dtype. Training and the losses run in
 float64; only stylize's descent direction runs in float32.
+
+The tape holds only what the vector-Jacobian products read, plus the
+leaves, so a map that no vjp reads is freed once its caller drops it.
 """
 
 from __future__ import annotations
@@ -43,12 +46,13 @@ class Tensor:
     """Array node. Rank 3 = (channels, height, width) for images/features;
     kernels, style matrices and scalars ride on the same class."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_key")
 
     def __init__(self, data):
         arr = as_float(data)
         _check_finite(arr, "Tensor")
         self.data = arr
+        self._key = None
 
     @property
     def channels(self):
@@ -86,14 +90,16 @@ class ConvLayer:
 
 
 class _Record(NamedTuple):
-    inputs: tuple
-    output: Tensor
+    inputs: tuple  # per input: its node key if this tape made it, else the leaf
+    output: object  # node key of the output
     vjp: object  # callable(grad_out) -> tuple of grads aligned with inputs
 
 
 class GradTape:
     """Recorded primitive applications, replayed in reverse by backward().
 
+    A record names the tensors this tape made by their node keys and holds
+    only the leaves as tensors, so it keeps just the arrays its vjp reads.
     Single-writer: one computation records and differentiates a tape; tapes
     are not shared across concurrent computations. The open tape is per
     thread (and per asyncio task), so a tape opened in one thread never
@@ -103,6 +109,7 @@ class GradTape:
 
     def __init__(self):
         self.records = []
+        self._produced = set()
 
     def __enter__(self):
         self._token = _TAPE.set(self)
@@ -117,28 +124,39 @@ _active_tape = _TAPE.get
 
 
 def _emit(inputs, out_data, vjp, opname):
+    """Wrap a primitive's output; an open tape records it under a fresh
+    object() key, which a deep copy does not share, so the copy is a leaf."""
     _check_finite(out_data, opname)
     out = Tensor.__new__(Tensor)
     out.data = out_data
+    out._key = None
     tape = _active_tape()
     if tape is not None:
-        tape.records.append(_Record(inputs, out, vjp))
+        made = tape._produced
+        ins = tuple(t._key if t._key in made else t for t in inputs)
+        out._key = object()
+        made.add(out._key)
+        tape.records.append(_Record(ins, out._key, vjp))
     return out
 
 
 def backward(tape: GradTape, output: Tensor) -> dict:
-    """Gradients of a scalar `output` w.r.t. the tape's leaves: the tensors
-    on it that none of its records produced (parameters, images).
+    """Gradients of a scalar `output` that `tape` recorded, w.r.t. the
+    tape's leaves: the tensors on it that none of its records produced
+    (parameters, images).
 
-    Keyed by the tensors themselves, which hash by identity (Tensor defines
-    no __eq__). A produced tensor's gradient is dropped once its record has
-    used it, so intermediate gradients never pile up.
+    Replayed by node keys, returned keyed by the leaf tensors themselves,
+    which hash by identity (Tensor defines no __eq__). A produced tensor's
+    gradient is dropped once its record has used it, so intermediate
+    gradients never pile up.
     """
     if not tape.records:
         raise TapeError("empty tape")
     if np.ndim(output.data) != 0 and output.data.size != 1:
         raise TapeError(f"backward needs a scalar output, got shape {output.data.shape}")
-    grads: dict[Tensor, np.ndarray] = {output: np.ones_like(output.data)}
+    if output._key not in tape._produced:
+        raise TapeError("output was not recorded on this tape")
+    grads = {output._key: np.ones_like(output.data)}
     for rec in reversed(tape.records):
         g_out = grads.pop(rec.output, None)
         if g_out is None:

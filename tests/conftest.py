@@ -34,6 +34,20 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def held_bytes(fn):
+    """tracemalloc bytes still held, with fn's result alive, after one call
+    of fn made after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del result
+    return held
+
+
 def make_small_extractor(seed=5, channels=(4, 8, 8), style_layers=None,
                          content_layers=(1,)):
     """3-level extractor usable on 8x8 images (full depth needs 16x16)."""
