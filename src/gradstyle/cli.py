@@ -34,7 +34,8 @@ from .network import (
     unroll,
 )
 from .perceptual import (
-    LossWeights,
+    LAM_C,
+    LAM_TV,
     default_extractor,
     extract_features,
     total_loss,
@@ -47,6 +48,7 @@ from .solver import (
 )
 from .tensor import NonFiniteError, Tensor, mirror_pad
 from .training import (
+    ADAM_LR,
     NOISE_BOUND,
     TRAIN_SIDE_MULTIPLE,
     CheckpointError,
@@ -188,14 +190,13 @@ def _cmd_train(args) -> int:
         return EXIT_DIVERGED
     save_checkpoint(result.model, args.out)
     write_training_log(f"{args.out}.log.csv", result.rows)
-    weights = LossWeights()
     per_style = {}
     for i, style_path in enumerate(args.style):
         per_style[f"style{i}"] = style_path
         per_style[f"style{i}.mask"] = masks[i] if masks else None
         per_style[f"style{i}.lam_s"] = repr(result.model.styles[i].target.lam_s)
-    _write_manifest(f"{args.out}.manifest", args, lam_c=weights.lam_c,
-                    lam_tv=weights.lam_tv, lr=cfg.lr,
+    _write_manifest(f"{args.out}.manifest", args, lam_c=LAM_C,
+                    lam_tv=LAM_TV, lr=ADAM_LR,
                     noise_bound=NOISE_BOUND,
                     extractor_seed=model.extractor_seed,
                     n_styles=len(styles), **per_style)
@@ -257,8 +258,8 @@ def _cmd_compare(args) -> int:
     result = grad_descent_stylize(padded, target, fe, cfg)
 
     c_feats = extract_features(padded, fe)
-    _, net_parts = total_loss(unroll(padded, model, style_id), c_feats, target,
-                              fe, LossWeights(), return_parts=True)
+    _, net_parts = total_loss(unroll(padded, model, style_id), c_feats,
+                              target, fe)
 
     rows = [("gd", i, parts) for i, parts in enumerate(result.trajectory)]
     rows.append(("network", NUM_STEPS, net_parts))

@@ -52,7 +52,7 @@ class SparseLaplacian:
     dia: sp.dia_matrix
     height: int
     width: int
-    matvec_count: int = field(default=0, compare=False)
+    matvec_count: int = field(init=False, default=0, compare=False)
 
     @property
     def n(self):

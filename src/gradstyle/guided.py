@@ -35,15 +35,11 @@ class GuidedFilterParams:
 
 
 def _box_mean(arr, radius):
-    """Mean over clamped (2r+1)-square windows of an (h, w) plane, or of
-    each trailing channel of an (h, w, k) array, one plane at a time.
+    """Mean over clamped (2r+1)-square windows of an (h, w) plane.
 
-    Integral-image implementation: O(h*w) per plane regardless of radius.
+    Integral-image implementation: O(h*w) regardless of radius.
     """
     global BOX_OPS
-    if arr.ndim == 3:
-        return np.stack([_box_mean(arr[:, :, c], radius)
-                         for c in range(arr.shape[2])], axis=-1)
     h, w = arr.shape
     BOX_OPS += h * w
     integral = np.zeros((h + 1, w + 1))
@@ -68,19 +64,19 @@ def guided_filter(p: Tensor, guide: Tensor, params: GuidedFilterParams | None = 
     if p.data.shape[1:] != gd.shape[1:]:
         raise ValueError(f"shape mismatch: p {p.data.shape[1:]} vs guide {gd.shape[1:]}")
     r = params.radius
-    img = np.moveaxis(gd, 0, 2)                    # (h, w, 3)
-    mean_i = _box_mean(img, r)
+    mean_i = np.stack([_box_mean(g, r) for g in gd])    # (3, h, w)
     # the lower triangle of each window's guide covariance, the only part
     # inv_sym3 reads: E[I I^T] - E[I] E[I]^T, plus the regularizer
     inv = inv_sym3({(i, j): _box_mean(gd[i] * gd[j], r)
-                    - mean_i[:, :, i] * mean_i[:, :, j] + params.eps * (i == j)
+                    - mean_i[i] * mean_i[j] + params.eps * (i == j)
                     for i in range(3) for j in range(i + 1)})
     out = np.empty_like(p.data)
     for c in range(p.data.shape[0]):
         pc = p.data[c]
         mean_p = _box_mean(pc, r)
-        cov_ip = _box_mean(img * pc[:, :, None], r) - mean_i * mean_p[:, :, None]
-        a = np.einsum("ijhw,hwj->hwi", inv, cov_ip)
-        b = mean_p - np.einsum("hwi,hwi->hw", a, mean_i)
-        out[c] = np.einsum("hwi,hwi->hw", _box_mean(a, r), img) + _box_mean(b, r)
+        cov_ip = np.stack([_box_mean(g * pc, r) for g in gd]) - mean_i * mean_p
+        a = np.einsum("ijhw,jhw->ihw", inv, cov_ip)
+        b = mean_p - np.einsum("ihw,ihw->hw", a, mean_i)
+        mean_a = np.stack([_box_mean(ai, r) for ai in a])
+        out[c] = np.einsum("ihw,ihw->hw", mean_a, gd) + _box_mean(b, r)
     return Tensor(out)

@@ -214,12 +214,6 @@ def style_loss(x_feats: list[Tensor], target: StyleTarget, fe: FeatureExtractor,
 
 
 @dataclass
-class LossWeights:
-    lam_c: float = 0.025
-    lam_tv: float = 0.5
-
-
-@dataclass
 class LossParts:
     total: float
     content: float
@@ -227,23 +221,25 @@ class LossParts:
     tv: float
 
 
-def total_loss(x4: Tensor, c_feats: list[Tensor], target: StyleTarget,
-               fe: FeatureExtractor, weights: LossWeights = LossWeights(),
-               return_parts: bool = False):
-    """Full training objective evaluated on the clipped image.
+# the objective's content and TV weights; the style weight comes from the
+# style target
+LAM_C = 0.025
+LAM_TV = 0.5
 
-    lam_c * content + lam_s * style + lam_tv * tv, with lam_s taken from the
-    style target. Differentiable through the tape w.r.t. x4 and any upstream
-    weights; pixels outside [0, 1] receive zero gradient from the clip.
+
+def total_loss(x4: Tensor, c_feats: list[Tensor], target: StyleTarget,
+               fe: FeatureExtractor) -> tuple[Tensor, LossParts]:
+    """Full training objective evaluated on the clipped image, and its terms.
+
+    LAM_C * content + lam_s * style + LAM_TV * tv, with lam_s taken from the
+    style target. The total is differentiable through the tape w.r.t. x4 and
+    any upstream weights; pixels outside [0, 1] receive zero gradient from
+    the clip. The parts are the total and each unweighted term, as floats.
     """
     y = clip_unit(x4)
     feats = extract_features(y, fe)
     lc = content_loss(feats, c_feats, fe)
     ls = style_loss(feats, target, fe)
     ltv = tv(y)
-    total = lincomb(lincomb(lc, ls, weights.lam_c, target.lam_s),
-                    ltv, 1.0, weights.lam_tv)
-    if not return_parts:
-        return total
-    parts = LossParts(total.item(), lc.item(), ls.item(), ltv.item())
-    return total, parts
+    total = lincomb(lincomb(lc, ls, LAM_C, target.lam_s), ltv, 1.0, LAM_TV)
+    return total, LossParts(total.item(), lc.item(), ls.item(), ltv.item())

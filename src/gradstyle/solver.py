@@ -16,7 +16,6 @@ import numpy as np
 from .perceptual import (
     FeatureExtractor,
     LossParts,
-    LossWeights,
     StyleTarget,
     extract_features,
     total_loss,
@@ -35,7 +34,6 @@ class DivergenceError(RuntimeError):
 class DescentConfig:
     iters: int
     mu: float | None = None          # None: 5-point geometric grid search
-    weights: LossWeights = field(default_factory=LossWeights)
     init: str = "content"
     seed: int = 0
     projector: object | None = None  # callable on per-channel flat vectors
@@ -73,10 +71,9 @@ def _project(x: np.ndarray, projector) -> np.ndarray:
     return np.stack([projector(flat[i]) for i in range(c)]).reshape(c, h, w)
 
 
-def _loss_and_grad(x: Tensor, c_feats, target, fe, weights):
+def _loss_and_grad(x: Tensor, c_feats, target, fe):
     with GradTape() as tape:
-        loss, parts = total_loss(x, c_feats, target, fe, weights,
-                                 return_parts=True)
+        loss, parts = total_loss(x, c_feats, target, fe)
         grads = backward(tape, loss)
     return parts, grads[x]
 
@@ -92,13 +89,12 @@ def _run(content: Tensor, c_feats, target: StyleTarget, fe: FeatureExtractor,
     iterates = [x] if keep_iterates else []
     try:
         for _ in range(cfg.iters):
-            parts, g = _loss_and_grad(x, c_feats, target, fe, cfg.weights)
+            parts, g = _loss_and_grad(x, c_feats, target, fe)
             trajectory.append(parts)
             x = Tensor(_project(x.data - mu * g, cfg.projector))
             if keep_iterates:
                 iterates.append(x)
-        _, parts = total_loss(x, c_feats, target, fe, cfg.weights,
-                              return_parts=True)
+        _, parts = total_loss(x, c_feats, target, fe)
     except NonFiniteError as exc:
         raise DivergenceError(
             f"loss became non-finite at iteration {len(trajectory)} "

@@ -302,9 +302,10 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer) -> Tensor:
     Fuses the ReLU when layer.relu is set; a caller that must act between
     the convolution and the nonlinearity passes replace(layer, relu=False),
     which shares the kernel and bias tensors. The tape keeps only the
-    padded input and the output: the vjp computes each tap's kernel and
-    input gradients as two GEMMs against a shifted window of the flattened
-    padded map, so it builds no column matrix.
+    padded input and, when the ReLU is fused, the output its mask reads:
+    the vjp computes each tap's kernel and input gradients as two GEMMs
+    against a shifted window of the flattened padded map, so it builds no
+    column matrix.
     """
     c, h, w = x.data.shape
     kern, bias = layer.kernel, layer.bias
@@ -331,14 +332,14 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer) -> Tensor:
         out_data = w2 @ _im2col(padded, kh, kw, h, w)
         out_data += bias.data[:, None]
         out_data = out_data.reshape(co, h, w)
-    use_relu = layer.relu
-    if use_relu:
-        np.maximum(out_data, 0.0, out=out_data)
+    relu_out = None
+    if layer.relu:
+        relu_out = np.maximum(out_data, 0.0, out=out_data)
 
     def vjp(g):
         g2 = g.reshape(co, h * w)
-        if use_relu:
-            g2 = g2 * (out_data.reshape(co, h * w) > 0.0)
+        if relu_out is not None:
+            g2 = g2 * (relu_out.reshape(co, h * w) > 0.0)
         # On the flattened padded map tap (dy, dx) reads the contiguous
         # window [s, s + n); g, laid on the padded row stride with zeros in
         # the pad columns, meets each window in two GEMMs and no copies.

@@ -37,6 +37,7 @@ from .perceptual import (
 from .solver import DivergenceError
 from .tensor import GradTape, NonFiniteError, Tensor, backward, side_multiple
 
+ADAM_LR = 1e-5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -51,18 +52,18 @@ class AdamState:
     """First/second moment accumulators mirroring a parameter list."""
 
     params: list[Tensor]
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    step: int = field(init=False, default=0)
+    m: list[np.ndarray] = field(init=False)
+    v: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        if not self.m:
-            self.m = [np.zeros_like(p.data) for p in self.params]
-            self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
 
-def adam_step(state: AdamState, grads: list[np.ndarray], lr: float):
-    """One bias-corrected Adam update, in place on the tracked parameters."""
+def adam_step(state: AdamState, grads: list[np.ndarray]):
+    """One bias-corrected Adam update at step size ADAM_LR, in place on the
+    tracked parameters."""
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise NonFiniteError("non-finite gradient; Adam step aborted")
@@ -75,7 +76,7 @@ def adam_step(state: AdamState, grads: list[np.ndarray], lr: float):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p.data -= ADAM_LR * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -84,14 +85,11 @@ class TrainConfig:
 
     epochs: int = 2
     side: int = 64
-    lr: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not 0 <= self.lr < np.inf:                  # NaN fails too
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.side <= 0 or self.side % TRAIN_SIDE_MULTIPLE:
             raise ValueError(f"side must be a positive multiple of "
                              f"{TRAIN_SIDE_MULTIPLE}")
@@ -154,8 +152,8 @@ def _validation_row(model, val_imgs, val_feats, fe):
     for i, img in enumerate(val_imgs):
         style_i = i % model.n_styles
         x4 = unroll(img, model, style_i)
-        _, parts = total_loss(x4, val_feats[i], model.styles[style_i].target,
-                              fe, return_parts=True)
+        _, parts = total_loss(x4, val_feats[i],
+                              model.styles[style_i].target, fe)
         acc += astuple(parts)
     acc /= len(val_imgs)
     return LossParts(*(float(a) for a in acc))
@@ -203,11 +201,11 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
                 noise = noise_rng.uniform(-amp, amp, size=img.data.shape)
                 with GradTape() as tape:
                     x4 = unroll(Tensor(img.data + noise), model, style_i)
-                    loss = total_loss(x4, train_feats[idx],
-                                      model.styles[style_i].target, fe)
+                    loss, _ = total_loss(x4, train_feats[idx],
+                                         model.styles[style_i].target, fe)
                     grads = backward(tape, loss)
                 grad_list = [grads.get(p, np.zeros_like(p.data)) for p in params]
-                adam_step(adam, grad_list, cfg.lr)
+                adam_step(adam, grad_list)
             rows.append(_validation_row(model, val_imgs, val_feats, fe))
         except NonFiniteError as exc:
             err = DivergenceError(

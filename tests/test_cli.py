@@ -14,7 +14,6 @@ from gradstyle.cli import main
 from gradstyle.imagecodec import read_image, write_ppm
 from gradstyle.network import NUM_STEPS, descent_step, init_model
 from gradstyle.perceptual import (
-    LossWeights,
     default_extractor,
     extract_features,
     total_loss,
@@ -234,16 +233,14 @@ class TestCompareCommand:
         content = read_image(inp)
         target = model.styles[0].target
         feats = extract_features(content, fe)
-        _, parts = total_loss(content, feats, target, fe, LossWeights(),
-                              return_parts=True)
+        _, parts = total_loss(content, feats, target, fe)
         assert float(gd[2]) == pytest.approx(parts.total, rel=1e-12)
 
         # and the network row matches four descent steps plus the same loss
         x = content
         for t in range(NUM_STEPS):
             x = descent_step(x, t, model, 0)
-        _, net_parts = total_loss(x, feats, target, fe, LossWeights(),
-                                  return_parts=True)
+        _, net_parts = total_loss(x, feats, target, fe)
         assert float(net[2]) == pytest.approx(net_parts.total, rel=1e-12)
 
     def test_both_init_modes_share_format(self, workspace, tmp_path):

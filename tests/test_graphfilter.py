@@ -16,7 +16,6 @@ from conftest import traced_peak
 from gradstyle import graphfilter
 from gradstyle.graphfilter import (
     DEFAULT_MATTING_EPS,
-    ChebFilter,
     LaplacianPyramid,
     SparseLaplacian,
     apply_poly_filter,

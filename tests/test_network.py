@@ -36,7 +36,6 @@ from gradstyle.tensor import (
     backward,
     bilinear_up2,
     mirror_pad,
-    chan_matmul,
     conv2d_reflect,
     lincomb,
     masked_gram,

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_small_extractor, random_image
 from gradstyle.perceptual import (
+    LAM_C,
+    LAM_TV,
     DegenerateMaskError,
-    LossWeights,
     StyleTarget,
     build_mask_pyramid,
     build_style_target,
@@ -179,27 +180,28 @@ class TestTvLoss:
 
 class TestTotalLoss:
     def test_zero_when_only_style_and_matched(self, rng):
+        # content and style targets from x itself, and a flat x, so TV is 0
         fe = make_small_extractor()
-        x = random_image(rng)
+        x = Tensor(np.broadcast_to(rng.uniform(0.1, 0.9, (3, 1, 1)),
+                                   (3, 8, 8)).copy())
         feats = extract_features(x, fe)
         target = StyleTarget([masked_gram(feats[l]).data for l in fe.style_layers], 1.0)
-        c_feats = extract_features(random_image(rng), fe)
-        loss = total_loss(x, c_feats, target, fe, LossWeights(0.0, 0.0))
+        loss, parts = total_loss(x, feats, target, fe)
         assert loss.item() == 0.0
+        assert (parts.content, parts.style, parts.tv) == (0.0, 0.0, 0.0)
 
     def test_default_weights(self):
-        w = LossWeights()
-        assert (w.lam_c, w.lam_tv) == (0.025, 0.5)
+        assert (LAM_C, LAM_TV) == (0.025, 0.5)
 
     def test_compositional_identity(self, rng):
         fe = make_small_extractor()
         x = random_image(rng)
         c_feats = extract_features(random_image(rng), fe)
         target = build_style_target(random_image(rng), fe)
-        w = LossWeights(0.3, 0.7)
-        total, parts = total_loss(x, c_feats, target, fe, w, return_parts=True)
-        recomposed = w.lam_c * parts.content + target.lam_s * parts.style \
-            + w.lam_tv * parts.tv
+        total, parts = total_loss(x, c_feats, target, fe)
+        recomposed = LAM_C * parts.content + target.lam_s * parts.style \
+            + LAM_TV * parts.tv
+        assert total.item() == parts.total
         assert total.item() == pytest.approx(recomposed, rel=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -209,10 +211,10 @@ class TestTotalLoss:
         target = build_style_target(random_image(rng), fe)
 
         def value():
-            return total_loss(x, c_feats, target, fe).item()
+            return total_loss(x, c_feats, target, fe)[0].item()
 
         with GradTape() as tape:
-            loss = total_loss(x, c_feats, target, fe)
+            loss, _ = total_loss(x, c_feats, target, fe)
             g = backward(tape, loss)[x]
         numeric = oracles.numeric_grad(value, x.data)
         assert oracles.rel_err(g, numeric) <= 1e-4
@@ -225,7 +227,7 @@ class TestTotalLoss:
         c_feats = extract_features(random_image(rng), fe)
         target = build_style_target(random_image(rng), fe)
         with GradTape() as tape:
-            loss = total_loss(x, c_feats, target, fe)
+            loss, _ = total_loss(x, c_feats, target, fe)
             g = backward(tape, loss)[x]
         assert g[0, 0, 0] == 0.0
         assert g[1, 3, 2] == 0.0

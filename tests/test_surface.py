@@ -75,7 +75,9 @@ def _checked_imports(tree):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in (ROOT / "src" / "gradstyle").glob("*.py")
+    "path", sorted(p for pattern in ("src/gradstyle/*.py", "tests/*.py",
+                                     "scripts/*.py")
+                   for p in ROOT.glob(pattern)
                    if p.name != "__init__.py"),  # __init__ imports to re-export
     ids=lambda p: p.name)
 def test_every_import_is_used(path):

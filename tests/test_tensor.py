@@ -222,7 +222,7 @@ class TestBackward:
         img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
         c_feats = extract_features(img, fe)
         with GradTape() as tape:
-            loss = total_loss(unroll(img, model), c_feats, target, fe)
+            loss, _ = total_loss(unroll(img, model), c_feats, target, fe)
             grads = backward(tape, loss)
             peak = traced_peak(lambda: backward(tape, loss))
         assert set(model.parameters()) <= set(grads)
@@ -256,6 +256,20 @@ class TestBackward:
         assert set(grads) == {x, y}
         # each input pixel's bilinear weights over the doubled grid sum to 4
         np.testing.assert_array_equal(grads[x], np.full((2, 4, 4), 4.0))
+
+    @pytest.mark.parametrize("use_relu", [False, True])
+    def test_conv_output_is_kept_only_for_its_relu_mask(self, use_relu, rng):
+        # vsum's vjp reads no input, so only conv's own vjp could keep it
+        x = Tensor(rng.standard_normal((2, 4, 4)))
+        layer = make_layer(rng, 3, 2, use_relu=use_relu)
+        with GradTape() as tape:
+            y = conv2d_reflect(x, layer)
+            alive = weakref.ref(y.data)
+            loss = vsum(y)
+            del y
+            assert (alive() is not None) == use_relu
+            grads = backward(tape, loss)
+        assert set(grads) == {x, layer.kernel, layer.bias}
 
     def test_deep_copy_of_taped_tensor_is_its_own_leaf(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 2)))

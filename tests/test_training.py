@@ -17,6 +17,7 @@ from gradstyle.perceptual import (
 from gradstyle.solver import DivergenceError
 from gradstyle.tensor import NonFiniteError, Tensor
 from gradstyle.training import (
+    ADAM_LR,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -56,17 +57,16 @@ class TestAdam:
     def test_zero_grad_zero_state_unchanged(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))
         state = AdamState([p])
-        adam_step(state, [np.zeros(3)], lr=0.1)
+        adam_step(state, [np.zeros(3)])
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude(self):
         p = Tensor(np.zeros(4))
         state = AdamState([p])
         g = np.array([0.5, -2.0, 10.0, 0.01])
-        lr = 1e-3
-        adam_step(state, [g], lr)
+        adam_step(state, [g])
         mag = np.abs(p.data)
-        assert np.all(mag >= 0.9 * lr) and np.all(mag <= lr)
+        assert np.all(mag >= 0.9 * ADAM_LR) and np.all(mag <= ADAM_LR)
         assert np.all(np.sign(p.data) == -np.sign(g))
 
     def test_two_steps_match_hand_recurrence(self, rng):
@@ -74,22 +74,21 @@ class TestAdam:
         p = Tensor(rng.standard_normal(5))
         expected = p.data.copy()
         state = AdamState([p])
-        lr = 0.01
         m = v = 0.0
         for t in (1, 2):
-            adam_step(state, [g], lr)
+            adam_step(state, [g])
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1 - 0.9 ** t)
             vh = v / (1 - 0.999 ** t)
-            expected = expected - lr * mh / (np.sqrt(vh) + 1e-8)
+            expected = expected - ADAM_LR * mh / (np.sqrt(vh) + 1e-8)
         np.testing.assert_allclose(p.data, expected, atol=1e-15)
 
     def test_non_finite_gradient_aborts(self):
         p = Tensor(np.zeros(2))
         state = AdamState([p])
         with pytest.raises(NonFiniteError, match="Adam"):
-            adam_step(state, [np.array([1.0, np.inf])], lr=0.1)
+            adam_step(state, [np.array([1.0, np.inf])])
         np.testing.assert_array_equal(p.data, 0.0)  # untouched
         assert state.step == 0
 
@@ -156,19 +155,21 @@ class TestTrain:
         assert_same_weights(result.model, snap)
         assert len(result.rows) == 1        # epoch 0: before any step
 
-    def test_zero_lr_model_and_validation_constant(self, tmp_path, rng):
+    def test_zero_lr_model_and_validation_constant(self, tmp_path, rng,
+                                                  monkeypatch):
+        monkeypatch.setattr(training, "ADAM_LR", 0.0)
         contents = make_content_dir(tmp_path)
         model = init_model(1)
         snap = snapshot(model)
         result = train(model, [(smooth_image(rng, 32), None)], contents,
-                       TrainConfig(epochs=1, side=16, lr=0.0))
+                       TrainConfig(epochs=1, side=16))
         assert_same_weights(result.model, snap)
         assert result.rows[1].total == result.rows[0].total
 
     def test_training_is_bit_deterministic(self, tmp_path, rng):
         contents = make_content_dir(tmp_path)
         style = smooth_image(rng, 32)
-        cfg = TrainConfig(epochs=1, side=16, lr=1e-4, seed=9)
+        cfg = TrainConfig(epochs=1, side=16, seed=9)
         r1 = train(init_model(2), [(style, None)], contents, cfg)
         r2 = train(init_model(2), [(style, None)], contents, cfg)
         for a, b in zip(r1.model.parameters(), r2.model.parameters()):
@@ -196,7 +197,7 @@ class TestTrain:
         model = init_model(3)
         snap = snapshot(model)
         train(model, [(smooth_image(rng, 32), None)], contents,
-              TrainConfig(epochs=1, side=16, lr=1e-4))
+              TrainConfig(epochs=1, side=16))
         moved = any(not np.array_equal(p.data, s)
                     for p, s in zip(model.parameters(), snap))
         assert moved
@@ -207,12 +208,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="multiple of 16"):
             TrainConfig(side=side)
 
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1e-5])
-    def test_non_finite_or_negative_lr_rejected(self, lr):
-        # rejected up front, not reported later as "training diverged"
-        with pytest.raises(ValueError, match="lr"):
-            TrainConfig(lr=lr)
-
     def test_style_count_mismatch_rejected(self, tmp_path, rng):
         contents = make_content_dir(tmp_path)
         with pytest.raises(ValueError, match="style slots"):
@@ -222,11 +217,9 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_last_good_snapshot(self, tmp_path, rng,
                                                        monkeypatch):
-        # TrainConfig rejects an infinite lr, so Adam is handed one directly:
-        # the weights turn non-finite and the next forward pass raises
-        monkeypatch.setattr(training, "adam_step",
-                            lambda state, grads, lr: adam_step(state, grads,
-                                                               np.inf))
+        # an infinite step size turns the weights non-finite, and the next
+        # forward pass raises
+        monkeypatch.setattr(training, "ADAM_LR", np.inf)
         contents = make_content_dir(tmp_path)
         model = init_model(6)
         snap = snapshot(model)
