@@ -6,7 +6,8 @@ Steps:
   2. train a 1-style model for a couple of epochs
   3. stylize the held-out image artistically, photorealistically, and at a
      couple of intensities
-  4. dump the descent-vs-network loss comparison CSV
+  4. dump the descent-vs-network loss comparison CSV and print k*, the
+     first descent iteration whose total is at or below the network's
 
 Everything lands under --workdir; each command writes its manifest next to
 its output, so the whole run can be replayed bit for bit.
@@ -79,6 +80,11 @@ def main():
     last_gd = [r for r in crows if r["method"] == "gd"][-1]
     print(f"network loss {float(net['total']):.5f} vs gd@{last_gd['iter']} "
           f"{float(last_gd['total']):.5f}")
+    # k*: the first GD iteration whose total is at or below the network's
+    k_star = next((r["iter"] for r in crows if r["method"] == "gd"
+                   and float(r["total"]) <= float(net["total"])), None)
+    print(f"k* = {k_star}" if k_star is not None
+          else f"k* > {last_gd['iter']}")
     print(f"outputs in {args.workdir}/")
 
 

@@ -40,13 +40,8 @@ from .perceptual import (
     extract_features,
     total_loss,
 )
-from .solver import (
-    INIT_MODES,
-    DescentConfig,
-    DivergenceError,
-    grad_descent_stylize,
-)
-from .tensor import NonFiniteError, Tensor, mirror_pad
+from .solver import INIT_MODES, DescentConfig, grad_descent_stylize
+from .tensor import DivergenceError, NonFiniteError, Tensor, mirror_pad
 from .training import (
     ADAM_LR,
     NOISE_BOUND,
@@ -304,8 +299,9 @@ def main(argv=None) -> int:
     except StyleIdError as err:
         print(f"gradstyle: {err}", file=sys.stderr)
         return EXIT_USAGE
-    # a NonFiniteError is a ValueError, so it must be caught first
-    except (DivergenceError, NonFiniteError) as err:
+    # a NonFiniteError (DivergenceError among them) is a ValueError, so it
+    # must be caught first
+    except NonFiniteError as err:
         print(f"gradstyle: {err}", file=sys.stderr)
         return EXIT_DIVERGED
     # CodecError and CheckpointError are ValueErrors

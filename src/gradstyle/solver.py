@@ -9,7 +9,7 @@ against the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,14 +20,10 @@ from .perceptual import (
     extract_features,
     total_loss,
 )
-from .tensor import GradTape, NonFiniteError, Tensor, backward
+from .tensor import DivergenceError, GradTape, NonFiniteError, Tensor, backward
 
 INIT_MODES = ("content", "noise")
 MU_GRID = (1e-2, 1e-1, 1.0, 10.0, 100.0)
-
-
-class DivergenceError(RuntimeError):
-    """An iterative run produced a non-finite loss."""
 
 
 @dataclass
@@ -52,7 +48,6 @@ class DescentResult:
     image: Tensor
     trajectory: list[LossParts]      # indexed by iteration
     mu: float
-    iterates: list[Tensor] = field(default_factory=list)
 
 
 def _init_image(content: Tensor, cfg: DescentConfig) -> np.ndarray:
@@ -79,28 +74,25 @@ def _loss_and_grad(x: Tensor, c_feats, target, fe):
 
 
 def _run(content: Tensor, c_feats, target: StyleTarget, fe: FeatureExtractor,
-         cfg: DescentConfig, keep_iterates: bool) -> DescentResult:
+         cfg: DescentConfig) -> DescentResult:
     """Descent from cfg's init image, projected when cfg.projector is set.
     The caller extracts c_feats, content's features, once for all mu probes."""
     x = Tensor(_project(_init_image(content, cfg), cfg.projector))
     mu = cfg.mu if cfg.mu is not None else _pick_mu(
         content, c_feats, target, fe, cfg)
     trajectory: list[LossParts] = []
-    iterates = [x] if keep_iterates else []
     try:
         for _ in range(cfg.iters):
             parts, g = _loss_and_grad(x, c_feats, target, fe)
             trajectory.append(parts)
             x = Tensor(_project(x.data - mu * g, cfg.projector))
-            if keep_iterates:
-                iterates.append(x)
         _, parts = total_loss(x, c_feats, target, fe)
     except NonFiniteError as exc:
         raise DivergenceError(
             f"loss became non-finite at iteration {len(trajectory)} "
             f"(mu={mu:g}, init={cfg.init!r}): {exc}") from exc
     trajectory.append(parts)
-    return DescentResult(x, trajectory, mu, iterates)
+    return DescentResult(x, trajectory, mu)
 
 
 def _pick_mu(content, c_feats, target, fe, cfg) -> float:
@@ -115,8 +107,7 @@ def _pick_mu(content, c_feats, target, fe, cfg) -> float:
     for mu in MU_GRID:
         try:
             probe = _run(content, c_feats, target, fe,
-                         replace(cfg, iters=probe_steps, mu=mu),
-                         keep_iterates=False)
+                         replace(cfg, iters=probe_steps, mu=mu))
             loss = probe.trajectory[-1].total
         except DivergenceError:
             loss = np.inf
@@ -126,19 +117,8 @@ def _pick_mu(content, c_feats, target, fe, cfg) -> float:
 
 
 def grad_descent_stylize(content: Tensor, target: StyleTarget,
-                         fe: FeatureExtractor, cfg: DescentConfig,
-                         keep_iterates: bool = False) -> DescentResult:
+                         fe: FeatureExtractor,
+                         cfg: DescentConfig) -> DescentResult:
     """Gradient descent on the objective; trajectory has one row per iterate.
-    cfg.projector is ignored."""
-    return _run(content, extract_features(content, fe), target, fe,
-                replace(cfg, projector=None), keep_iterates)
-
-
-def projected_grad_descent(content: Tensor, target: StyleTarget,
-                           fe: FeatureExtractor, cfg: DescentConfig,
-                           keep_iterates: bool = False) -> DescentResult:
-    """Projected variant: the init and every update pass through cfg.projector."""
-    if cfg.projector is None:
-        raise ValueError("projected descent needs cfg.projector")
-    return _run(content, extract_features(content, fe), target, fe, cfg,
-                keep_iterates)
+    When cfg.projector is set, the init and every update pass through it."""
+    return _run(content, extract_features(content, fe), target, fe, cfg)

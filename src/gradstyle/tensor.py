@@ -27,6 +27,10 @@ class NonFiniteError(ValueError):
     """A primitive produced NaN or Inf."""
 
 
+class DivergenceError(NonFiniteError):
+    """An iterative run (descent or training) produced a non-finite loss."""
+
+
 class TapeError(RuntimeError):
     """Backward pass requested on an unusable tape/output."""
 

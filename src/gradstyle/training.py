@@ -34,8 +34,14 @@ from .perceptual import (
     extract_features,
     total_loss,
 )
-from .solver import DivergenceError
-from .tensor import GradTape, NonFiniteError, Tensor, backward, side_multiple
+from .tensor import (
+    DivergenceError,
+    GradTape,
+    NonFiniteError,
+    Tensor,
+    backward,
+    side_multiple,
+)
 
 ADAM_LR = 1e-5
 ADAM_BETA1 = 0.9

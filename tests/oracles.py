@@ -4,17 +4,21 @@ Everything here is deliberately written as plain loop nests, dense linear
 algebra or, for the matting Laplacian's sparse structure, COO triplets summed
 by scipy, sharing no code path with the library implementations it checks.
 The exceptions are stylize_float64, the float64 reference that stylize's
-float32 descent direction is held to, and the whole-image forms of the
-matting-Laplacian assembly and the guided filter, which the banded and
+float32 descent direction is held to; descent_iterates, which reads a
+descent's iterates off the library's own runs; and the whole-image forms of
+the matting-Laplacian assembly and the guided filter, which the banded and
 plane-wise library forms must match bit for bit: they share the library's
 closed-form 3x3 inverse (inv_sym3), since only the same arithmetic can.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gradstyle.network import SIDE_MULTIPLE, InferenceOptions, unroll
+from gradstyle.solver import grad_descent_stylize
 from gradstyle.tensor import Tensor, inv_sym3, mirror_pad
 
 
@@ -402,6 +406,17 @@ def stylize_float64(content, model, style_id=0, opts=None):
     x = unroll(Tensor(mirror_pad(content.data, SIDE_MULTIPLE)), model,
                style_id, opts)
     return np.clip(x.data, 0.0, 1.0)[:, :h, :w]
+
+
+def descent_iterates(content, target, fe, cfg):
+    """Iterates 0..cfg.iters of a fixed-stepsize descent: iterate k is the
+    image of the same run stopped after k iterations. A grid search probes
+    for as many iterations as the run asks, so cfg.mu must be set for the
+    shorter runs to be prefixes of the longer."""
+    assert cfg.mu is not None, "descent_iterates needs a fixed cfg.mu"
+    return [grad_descent_stylize(content, target, fe,
+                                 replace(cfg, iters=k)).image
+            for k in range(cfg.iters + 1)]
 
 
 def rel_err(analytic, numeric, floor=1e-12):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 import oracles
-from oracles import IdentityHooks, exact_projector
+from oracles import IdentityHooks, descent_iterates, exact_projector
 from conftest import make_small_extractor, smooth_image
 import gradstyle.cli as cli
 from gradstyle.cli import main
@@ -33,11 +33,7 @@ from gradstyle.perceptual import (
     style_loss,
     total_loss,
 )
-from gradstyle.solver import (
-    DescentConfig,
-    grad_descent_stylize,
-    projected_grad_descent,
-)
+from gradstyle.solver import DescentConfig, grad_descent_stylize
 from gradstyle.tensor import GradTape, Tensor, backward, masked_gram
 from gradstyle.training import load_checkpoint, save_checkpoint
 
@@ -169,9 +165,7 @@ def test_criterion_5_projected_descent_bandlimitedness():
         lap = matting_laplacian(content.data)
         projector = exact_projector(lap, 0.2 * lap.lambda_max)
         cfg = DescentConfig(iters=5, mu=0.5, projector=projector)
-        res = projected_grad_descent(content, target, fe, cfg,
-                                     keep_iterates=True)
-        for it in res.iterates:
+        for it in descent_iterates(content, target, fe, cfg):
             for c in range(3):
                 v = it.data[c].reshape(-1)
                 r = v - projector(v)
@@ -181,14 +175,12 @@ def test_criterion_5_projected_descent_bandlimitedness():
         # identity and the trajectories agree bit for bit
         wide = exact_projector(lap, lap.lambda_max * 1.01)
         assert wide.is_identity
-        plain = grad_descent_stylize(content, target, fe,
-                                     DescentConfig(iters=4, mu=0.5),
-                                     keep_iterates=True)
-        proj = projected_grad_descent(
-            content, target, fe,
-            DescentConfig(iters=4, mu=0.5, projector=wide),
-            keep_iterates=True)
-        for a, b in zip(plain.iterates, proj.iterates):
+        plain_cfg = DescentConfig(iters=4, mu=0.5)
+        proj_cfg = DescentConfig(iters=4, mu=0.5, projector=wide)
+        plain = grad_descent_stylize(content, target, fe, plain_cfg)
+        proj = grad_descent_stylize(content, target, fe, proj_cfg)
+        for a, b in zip(descent_iterates(content, target, fe, plain_cfg),
+                        descent_iterates(content, target, fe, proj_cfg)):
             assert np.array_equal(a.data, b.data)
         for a, b in zip(plain.trajectory, proj.trajectory):
             assert (a.total, a.content, a.style, a.tv) == \

@@ -90,6 +90,27 @@ class TestTrainCommand:
             main(["train", "--contents", str(workspace["contents"])])
         assert exc.value.code == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_4_with_last_good_checkpoint(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        # an infinite step size turns the weights non-finite in epoch 1, so
+        # the checkpoint saved is the one from before it: the init
+        monkeypatch.setattr("gradstyle.training.ADAM_LR", np.inf)
+        out = tmp_path / "x.ckpt"
+        assert main(["train", "--contents", str(workspace["contents"]),
+                     "--style", str(workspace["style"]), "--out", str(out),
+                     "--epochs", "1", "--size", "16", "--seed", "4"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].endswith("(last good checkpoint saved)")
+        saved = load_checkpoint(out).parameters()
+        init = init_model(4).parameters()
+        assert len(saved) == len(init)
+        for s, p in zip(saved, init):
+            np.testing.assert_array_equal(s.data,
+                                          p.data.astype(np.float32))
+        assert not (tmp_path / "x.ckpt.log.csv").exists()
+
 
 class TestStylizeCommand:
     def test_alpha_zero_roundtrips_input(self, workspace, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_small_extractor, random_image, smooth_image
-from oracles import exact_projector
+from oracles import descent_iterates, exact_projector
 from gradstyle.graphfilter import matting_laplacian
 from gradstyle.perceptual import (
     build_style_target,
@@ -11,14 +11,8 @@ from gradstyle.perceptual import (
 )
 from gradstyle.perceptual import StyleTarget
 from gradstyle import solver
-from gradstyle.solver import (
-    MU_GRID,
-    DescentConfig,
-    DivergenceError,
-    grad_descent_stylize,
-    projected_grad_descent,
-)
-from gradstyle.tensor import ConvLayer, Tensor, masked_gram
+from gradstyle.solver import MU_GRID, DescentConfig, grad_descent_stylize
+from gradstyle.tensor import ConvLayer, DivergenceError, Tensor, masked_gram
 from gradstyle.perceptual import FeatureExtractor
 
 
@@ -60,11 +54,11 @@ class TestPlainDescent:
     def test_trajectory_rows_match_reevaluation(self, problem, fe):
         content, target = problem
         cfg = DescentConfig(iters=6, mu=0.5, seed=3)
-        res = grad_descent_stylize(content, target, fe, cfg,
-                                   keep_iterates=True)
-        assert len(res.iterates) == 7
+        res = grad_descent_stylize(content, target, fe, cfg)
+        iterates = descent_iterates(content, target, fe, cfg)
+        assert len(iterates) == 7
         c_feats = extract_features(content, fe)
-        for row, it in zip(res.trajectory, res.iterates):
+        for row, it in zip(res.trajectory, iterates):
             _, parts = total_loss(it, c_feats, target, fe)
             assert row.total == pytest.approx(parts.total, rel=1e-10)
 
@@ -134,13 +128,11 @@ class TestProjectedDescent:
 
     def test_identity_projector_bit_identical(self, problem, fe):
         content, target = problem
-        plain = grad_descent_stylize(content, target, fe,
-                                     DescentConfig(iters=4, mu=0.5),
-                                     keep_iterates=True)
+        plain = descent_iterates(content, target, fe,
+                                 DescentConfig(iters=4, mu=0.5))
         cfg = DescentConfig(iters=4, mu=0.5, projector=lambda v: v)
-        proj = projected_grad_descent(content, target, fe, cfg,
-                                      keep_iterates=True)
-        for a, b in zip(plain.iterates, proj.iterates):
+        proj = descent_iterates(content, target, fe, cfg)
+        for a, b in zip(plain, proj):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_threshold_above_lambda_max_bit_identical(self, problem, fe):
@@ -150,7 +142,7 @@ class TestProjectedDescent:
         assert projector.is_identity
         plain = grad_descent_stylize(content, target, fe,
                                      DescentConfig(iters=3, mu=0.5))
-        proj = projected_grad_descent(
+        proj = grad_descent_stylize(
             content, target, fe,
             DescentConfig(iters=3, mu=0.5, projector=projector))
         np.testing.assert_array_equal(plain.image.data, proj.image.data)
@@ -162,7 +154,7 @@ class TestProjectedDescent:
         content, target = problem
         lap, projector = self._projector(content)
         cfg = DescentConfig(iters=0, mu=1.0, projector=projector)
-        res = projected_grad_descent(content, target, fe, cfg)
+        res = grad_descent_stylize(content, target, fe, cfg)
         for c in range(3):
             v = res.image.data[c].reshape(-1)
             r = v - projector(v)
@@ -172,41 +164,36 @@ class TestProjectedDescent:
         content, target = problem
         lap, projector = self._projector(content)
         cfg = DescentConfig(iters=5, mu=0.5, projector=projector)
-        res = projected_grad_descent(content, target, fe, cfg,
-                                     keep_iterates=True)
-        for it in res.iterates:
+        for it in descent_iterates(content, target, fe, cfg):
             for c in range(3):
                 v = it.data[c].reshape(-1)
                 r = v - projector(v)
                 assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(v)
 
-    def test_unused_projector_leaves_mu_probe_alone(self, fe):
-        # plain descent ignores cfg.projector, and so must its stepsize
-        # probe: projecting there once picked 1.0 instead of 0.1 for this case
+    def test_mu_probe_runs_the_requested_projection(self, fe):
+        # the grid search keeps the stepsize whose 10-iteration run, with
+        # the projection asked for, ends lowest (the smallest on a tie)
         rng = np.random.default_rng(0)
         content = smooth_image(rng, 16)
         target = build_style_target(smooth_image(rng, 16), fe)
         lap = matting_laplacian(content.data)
-        projector = exact_projector(lap, 0.05 * lap.lambda_max)
-        plain = grad_descent_stylize(content, target, fe, DescentConfig(iters=10))
-        unused = grad_descent_stylize(
-            content, target, fe, DescentConfig(iters=10, projector=projector))
-        assert unused.mu == plain.mu
-
-    def test_plain_descent_never_calls_the_projector(self, problem, fe):
-        def projector(v):
-            raise AssertionError("plain descent called cfg.projector")
-
-        content, target = problem
-        res = grad_descent_stylize(content, target, fe,
-                                   DescentConfig(iters=2, projector=projector))
-        assert res.mu in MU_GRID
-
-    def test_missing_projector_rejected(self, problem, fe):
-        content, target = problem
-        with pytest.raises(ValueError, match="projector"):
-            projected_grad_descent(content, target, fe,
-                                   DescentConfig(iters=1, mu=1.0))
+        picks = []
+        for projector in (None, exact_projector(lap, 0.05 * lap.lambda_max)):
+            finals = []
+            for mu in MU_GRID:
+                cfg = DescentConfig(iters=10, mu=mu, projector=projector)
+                try:
+                    res = grad_descent_stylize(content, target, fe, cfg)
+                    finals.append(res.trajectory[-1].total)
+                except DivergenceError:
+                    finals.append(np.inf)
+            res = grad_descent_stylize(
+                content, target, fe, DescentConfig(iters=10, projector=projector))
+            assert res.mu == MU_GRID[int(np.argmin(finals))]
+            picks.append(res.mu)
+        # on this image the projection changes the pick (0.1 and 1.0), so a
+        # probe that dropped the projector would be seen
+        assert picks[0] != picks[1]
 
 
 class TestConfigValidation:

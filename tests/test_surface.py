@@ -87,3 +87,37 @@ def test_every_import_is_used(path):
               for node in _checked_imports(tree) for alias in node.names
               if (alias.asname or alias.name.split(".")[0]) not in used]
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+# Public names kept with no program caller, each with its reason.
+UNCALLED_PUBLIC = {
+    # tests differentiate through vsum, and its vjp keeps no input, which
+    # the tape-memory tests rely on
+    "vsum",
+}
+
+
+def test_every_public_name_has_a_program_caller():
+    # a top-level function or class of src/gradstyle that no library module,
+    # script or benchmark file reads is surface that nothing needs
+    paths = [p for pattern in ("src/gradstyle/*.py", "scripts/*.py",
+                               "perfbench/*.py") for p in ROOT.glob(pattern)]
+    public, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_src = path.parent.name == "gradstyle"
+        if in_src:
+            public += [(node.name, f"{path.name}:{node.name}")
+                       for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias) and not in_src:
+                used.add(node.name.split(".")[-1])
+    uncalled = sorted(where for name, where in public
+                      if name not in used | UNCALLED_PUBLIC)
+    assert not uncalled, f"public names with no program caller: {uncalled}"

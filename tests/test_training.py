@@ -14,8 +14,7 @@ from gradstyle.perceptual import (
     extract_features,
     style_loss,
 )
-from gradstyle.solver import DivergenceError
-from gradstyle.tensor import NonFiniteError, Tensor
+from gradstyle.tensor import DivergenceError, NonFiniteError, Tensor
 from gradstyle.training import (
     ADAM_LR,
     AdamState,
