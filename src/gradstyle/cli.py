@@ -212,7 +212,7 @@ def _cmd_stylize(args) -> int:
     hooks = None
     lam_info = {}
     if args.photoreal:
-        hooks = build_pyramid(content, epsilon=args.matting_eps,
+        hooks = build_pyramid(content.data, epsilon=args.matting_eps,
                               order=args.cheb_order,
                               lambda_frac=args.lambda_star_frac)
         for lvl, filt in enumerate(hooks.filters):

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .network import CHANNELS, SIDE_MULTIPLE
-from .tensor import Tensor, as_float, block_mean2, inv_sym3, mirror_pad
+from .tensor import as_float, block_mean2, inv_sym3, mirror_pad
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -73,7 +73,7 @@ class SparseLaplacian:
 
 
 def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLaplacian:
-    """Matting Laplacian of an RGB image from 3x3 local affine models.
+    """Matting Laplacian of a (3, h, w) RGB array from 3x3 local affine models.
 
     For every 3x3 window w_k fully inside the image, with window mean mu_k and
     (biased) covariance S_k, pixels i, j in w_k contribute
@@ -104,7 +104,7 @@ def matting_laplacian(image, epsilon: float = DEFAULT_MATTING_EPS) -> SparseLapl
     """
     import scipy.sparse as sp
 
-    data = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    data = np.asarray(image, dtype=np.float64)
     if data.ndim != 3 or data.shape[0] != 3:
         raise ValueError("expected a (3, h, w) image")
     _, h, w = data.shape
@@ -311,7 +311,7 @@ class LaplacianPyramid:
 def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
                   order: int = DEFAULT_ORDER,
                   lambda_frac: float = DEFAULT_LAMBDA_FRAC) -> LaplacianPyramid:
-    """Laplacians of the content image downsampled to the network's scales.
+    """Laplacians of a (3, h, w) content array at the network's scales.
 
     The content is mirror-padded to multiples of SIDE_MULTIPLE first, as
     stylize pads it, so each level matches a backward-map scale. Each level
@@ -320,9 +320,8 @@ def build_pyramid(content, epsilon: float = DEFAULT_MATTING_EPS,
     thread filters. A level too small to hold a 3x3 window has an empty
     Laplacian, so its exact low-pass is the identity and no filter is built.
     """
-    data = content.data if isinstance(content, Tensor) else np.asarray(content, dtype=np.float64)
     laps, filts = [], []
-    img = mirror_pad(data, SIDE_MULTIPLE)
+    img = mirror_pad(np.asarray(content, dtype=np.float64), SIDE_MULTIPLE)
     for level in range(len(CHANNELS)):
         if level:
             img = block_mean2(img)

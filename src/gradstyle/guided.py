@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, inv_sym3
+from .tensor import inv_sym3
 
 # number of array elements pushed through box sums; tests assert linear scaling
 BOX_OPS = 0
@@ -55,28 +55,27 @@ def _box_mean(arr, radius):
     return sums / ((i2 - i1)[:, None] * (j2 - j1)[None, :]).astype(np.float64)
 
 
-def guided_filter(p: Tensor, guide: Tensor, params: GuidedFilterParams | None = None) -> Tensor:
-    """Filter each channel of p using the 3-channel guide's local structure."""
+def guided_filter(p: np.ndarray, guide: np.ndarray,
+                  params: GuidedFilterParams | None = None) -> np.ndarray:
+    """Filter each channel of a (c, h, w) p by a (3, h, w) guide's structure."""
     params = params or GuidedFilterParams()
-    gd = guide.data
-    if gd.shape[0] != 3:
+    if guide.shape[0] != 3:
         raise ValueError("guide must have 3 channels")
-    if p.data.shape[1:] != gd.shape[1:]:
-        raise ValueError(f"shape mismatch: p {p.data.shape[1:]} vs guide {gd.shape[1:]}")
+    if p.shape[1:] != guide.shape[1:]:
+        raise ValueError(f"shape mismatch: p {p.shape[1:]} vs guide {guide.shape[1:]}")
     r = params.radius
-    mean_i = np.stack([_box_mean(g, r) for g in gd])    # (3, h, w)
+    mean_i = np.stack([_box_mean(g, r) for g in guide])  # (3, h, w)
     # the lower triangle of each window's guide covariance, the only part
     # inv_sym3 reads: E[I I^T] - E[I] E[I]^T, plus the regularizer
-    inv = inv_sym3({(i, j): _box_mean(gd[i] * gd[j], r)
+    inv = inv_sym3({(i, j): _box_mean(guide[i] * guide[j], r)
                     - mean_i[i] * mean_i[j] + params.eps * (i == j)
                     for i in range(3) for j in range(i + 1)})
-    out = np.empty_like(p.data)
-    for c in range(p.data.shape[0]):
-        pc = p.data[c]
+    out = np.empty_like(p)
+    for c, pc in enumerate(p):
         mean_p = _box_mean(pc, r)
-        cov_ip = np.stack([_box_mean(g * pc, r) for g in gd]) - mean_i * mean_p
+        cov_ip = np.stack([_box_mean(g * pc, r) for g in guide]) - mean_i * mean_p
         a = np.einsum("ijhw,jhw->ihw", inv, cov_ip)
         b = mean_p - np.einsum("ihw,ihw->hw", a, mean_i)
         mean_a = np.stack([_box_mean(ai, r) for ai in a])
-        out[c] = np.einsum("ihw,ihw->hw", mean_a, gd) + _box_mean(b, r)
-    return Tensor(out)
+        out[c] = np.einsum("ihw,ihw->hw", mean_a, guide) + _box_mean(b, r)
+    return out

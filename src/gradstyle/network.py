@@ -172,9 +172,6 @@ class InferenceOptions:
 
 def forward_maps(x: Tensor, model: UnrolledModel) -> list[Tensor]:
     """Features at the four levels: (16,h,w), (32,h/2,w/2), (64,h/4,w/4), (128,h/8,w/8)."""
-    if x.height % SIDE_MULTIPLE or x.width % SIDE_MULTIPLE:
-        raise ValueError(f"spatial dims must be multiples of {SIDE_MULTIPLE}, "
-                         f"got {x.height}x{x.width}")
     return conv_pyramid(x, model.fwd)
 
 
@@ -306,6 +303,5 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
     if opts.blend_mask is not None:
         out = opts.blend_mask * out + (1.0 - opts.blend_mask) * data
     if opts.guided is not None:
-        out = np.clip(guided_filter(Tensor(out), content, opts.guided).data,
-                      0.0, 1.0)
+        out = np.clip(guided_filter(out, data, opts.guided), 0.0, 1.0)
     return Tensor(out)

@@ -76,7 +76,12 @@ def conv_stack(channels, weight) -> list[ConvLayer]:
 
 
 def conv_pyramid(x: Tensor, layers: list[ConvLayer]) -> list[Tensor]:
-    """Every layer's output, with 2x2 average pooling between layers."""
+    """Every layer's output, with 2x2 average pooling between layers, so
+    both sides of x must be multiples of side_multiple(len(layers))."""
+    m = side_multiple(len(layers))
+    if x.height % m or x.width % m:
+        raise ValueError(f"spatial dims {x.height}x{x.width} must be "
+                         f"multiples of {m}")
     feats = [conv2d_reflect(x, layers[0])]
     for layer in layers[1:]:
         feats.append(conv2d_reflect(avg_pool2(feats[-1]), layer))
@@ -99,9 +104,6 @@ def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:
     """One feature map per level; deterministic for fixed weights."""
     if x.channels != 3:
         raise ValueError(f"expected a 3-channel image, got {x.channels}")
-    if x.height % fe.multiple or x.width % fe.multiple:
-        raise ValueError(f"spatial dims {x.height}x{x.width} not divisible "
-                         f"by {fe.multiple}")
     return conv_pyramid(x, fe.layers)
 
 
@@ -149,6 +151,8 @@ class StyleTarget:
     def __post_init__(self):
         if not 0 < self.lam_s < np.inf:                # NaN fails too
             raise ValueError(f"style weight {self.lam_s} is not finite and > 0")
+        if not all(np.all(np.isfinite(g)) for g in self.grams):
+            raise ValueError("a style Gram target has non-finite entries")
 
 
 def build_style_target(style: Tensor, fe: FeatureExtractor,

@@ -32,7 +32,7 @@ class DescentConfig:
     mu: float | None = None          # None: 5-point geometric grid search
     init: str = "content"
     seed: int = 0
-    projector: object | None = None  # callable on per-channel flat vectors
+    projector: object | None = None  # callable on (c, h, w) arrays
 
     def __post_init__(self):
         if self.iters < 0:
@@ -57,15 +57,6 @@ def _init_image(content: Tensor, cfg: DescentConfig) -> np.ndarray:
                                                    size=content.data.shape)
 
 
-def _project(x: np.ndarray, projector) -> np.ndarray:
-    """x with every channel passed through projector; x when it is None."""
-    if projector is None:
-        return x
-    c, h, w = x.shape
-    flat = x.reshape(c, h * w)
-    return np.stack([projector(flat[i]) for i in range(c)]).reshape(c, h, w)
-
-
 def _loss_and_grad(x: Tensor, c_feats, target, fe):
     with GradTape() as tape:
         loss, parts = total_loss(x, c_feats, target, fe)
@@ -77,7 +68,8 @@ def _run(content: Tensor, c_feats, target: StyleTarget, fe: FeatureExtractor,
          cfg: DescentConfig) -> DescentResult:
     """Descent from cfg's init image, projected when cfg.projector is set.
     The caller extracts c_feats, content's features, once for all mu probes."""
-    x = Tensor(_project(_init_image(content, cfg), cfg.projector))
+    project = cfg.projector if cfg.projector is not None else (lambda x: x)
+    x = Tensor(project(_init_image(content, cfg)))
     mu = cfg.mu if cfg.mu is not None else _pick_mu(
         content, c_feats, target, fe, cfg)
     trajectory: list[LossParts] = []
@@ -85,7 +77,7 @@ def _run(content: Tensor, c_feats, target: StyleTarget, fe: FeatureExtractor,
         for _ in range(cfg.iters):
             parts, g = _loss_and_grad(x, c_feats, target, fe)
             trajectory.append(parts)
-            x = Tensor(_project(x.data - mu * g, cfg.projector))
+            x = Tensor(project(x.data - mu * g))
         _, parts = total_loss(x, c_feats, target, fe)
     except NonFiniteError as exc:
         raise DivergenceError(

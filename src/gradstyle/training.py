@@ -324,9 +324,16 @@ def load_checkpoint(path) -> UnrolledModel:
     all_grams = []
     for _ in range(n_styles):
         n_layers = reader.take("<I")[0]
+        # an untrained style has no Grams, a trained one the extractor's
+        if n_layers not in (0, len(DEFAULT_CHANNELS)):
+            raise CheckpointError(f"{n_layers} Gram targets, expected 0 or "
+                                  f"{len(DEFAULT_CHANNELS)}")
         grams = []
-        for _ in range(n_layers):
+        for expected in DEFAULT_CHANNELS[:n_layers]:
             side = reader.take("<I")[0]
+            if side != expected:
+                raise CheckpointError(f"Gram target of side {side}, "
+                                      f"expected {expected}")
             grams.append(reader.take_array(side * side, "<f8")
                          .astype(np.float64).reshape(side, side))
         all_grams.append(grams)

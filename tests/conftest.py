@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradstyle.perceptual import FeatureExtractor
+from gradstyle.network import init_model
+from gradstyle.perceptual import DEFAULT_CHANNELS, FeatureExtractor, StyleTarget
 from gradstyle.tensor import ConvLayer, Tensor, xavier_init_rng
+from gradstyle.training import save_checkpoint
 
 
 @pytest.fixture
@@ -78,3 +80,24 @@ def smooth_image(rng, side, waves=2):
             + 0.2 * np.cos(2 * np.pi * b * xx + ph2)
         chans.append(img)
     return Tensor(np.clip(np.stack(chans), 0.0, 1.0))
+
+
+# Gram sides of style targets no checkpoint may carry: a trained style has
+# one Gram per default-extractor layer, of side DEFAULT_CHANNELS
+BAD_GRAM_SIDES = {
+    "2 layers": DEFAULT_CHANNELS[:2],
+    "6 layers": DEFAULT_CHANNELS + (64,),
+    "wrong side": DEFAULT_CHANNELS[:-1] + (32,),
+    "NaN entry": DEFAULT_CHANNELS,
+}
+
+
+def save_bad_gram_checkpoint(path, case):
+    """Save init_model(0) with style 0's Gram targets malformed as `case` of
+    BAD_GRAM_SIDES names; "NaN entry" has the right sides and one NaN."""
+    target = StyleTarget([np.eye(c) for c in BAD_GRAM_SIDES[case]], 1.0)
+    if case == "NaN entry":
+        target.grams[2][1, 1] = np.nan         # past StyleTarget's checks
+    model = init_model(0)
+    model.styles[0].target = target
+    save_checkpoint(model, path)

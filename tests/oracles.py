@@ -339,9 +339,12 @@ class ExactProjector:
         self.is_identity = basis is None
 
     def __call__(self, x):
+        """x projected: a vector of length n, or each channel of a map of n
+        pixels, such as a (c, h, w) iterate."""
         if self.is_identity:
             return x
-        return self.basis @ (self.basis.T @ x)
+        flat = x.reshape(-1, self.n).T
+        return (self.basis @ (self.basis.T @ flat)).T.reshape(x.shape)
 
     @property
     def matrix(self):

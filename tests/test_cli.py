@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gradstyle
-from conftest import smooth_image
+from conftest import save_bad_gram_checkpoint, smooth_image
 from gradstyle import cli
 from gradstyle.cli import main
 from gradstyle.imagecodec import read_image, write_ppm
@@ -292,6 +292,18 @@ class TestCompareCommand:
                          "--out", str(csv_path)]) == 0
             blobs.append(csv_path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+    @pytest.mark.parametrize("case", ["2 layers", "6 layers", "NaN entry"])
+    def test_malformed_gram_targets_exit_3(self, tmp_path, capsys, case):
+        ckpt = tmp_path / "m.ckpt"
+        save_bad_gram_checkpoint(ckpt, case)
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, smooth_image(np.random.default_rng(14), 16))
+        assert main(["compare", "--model", str(ckpt), "--input", str(inp),
+                     "--iters", "1", "--mu", "0.1"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gradstyle: ")
 
 
 class TestInspectCommand:

@@ -363,11 +363,8 @@ class _ProjectorHooks:
         self.sides = sides
 
     def filter_map(self, level, arr):
-        c, h, w = arr.shape
-        assert (h, w) == self.sides[level]
-        flat = arr.reshape(c, h * w)
-        return np.stack([self.projectors[level](flat[i])
-                         for i in range(c)]).reshape(c, h, w)
+        assert arr.shape[1:] == self.sides[level]
+        return self.projectors[level](arr)
 
 
 def test_projector_hooks_keep_iterates_bandlimited(rng):
@@ -381,8 +378,7 @@ def test_projector_hooks_keep_iterates_bandlimited(rng):
                      if pyr.filters[lvl] is not None else (lambda v: v))
         sides.append((lap.height, lap.width))
     hooks = _ProjectorHooks(projs, sides)
-    x0 = Tensor(np.stack([projs[0](content.data[c].reshape(-1))
-                          for c in range(3)]).reshape(3, side, side))
+    x0 = Tensor(projs[0](content.data))
     model = seeded_model(20, h_scale=0.05)
     opts = InferenceOptions(filter_hooks=hooks)
     x = x0
@@ -479,7 +475,7 @@ def test_hooked_backward_pyramid_frees_each_map_once_used(rng):
     # backward pyramid returns, at 9.5 MB
     model = init_model(0)
     img = Tensor(rng.uniform(0.1, 0.9, (3, 128, 128)))
-    opts = InferenceOptions(filter_hooks=build_pyramid(img))
+    opts = InferenceOptions(filter_hooks=build_pyramid(img.data))
     assert traced_peak(lambda: stylize(img, model, 0, opts)) < 8e6
 
 
@@ -512,7 +508,7 @@ def spy_dtypes(monkeypatch):
 def photoreal_opts(x, **extra):
     """Masked photoreal options on a square image: a content mask over its
     left half and the content's filter pyramid, as the CLI builds them."""
-    return half_mask_opts(x.height, alpha=1.2, filter_hooks=build_pyramid(x),
+    return half_mask_opts(x.height, alpha=1.2, filter_hooks=build_pyramid(x.data),
                           **extra)
 
 
@@ -558,7 +554,7 @@ def test_threads_share_one_pyramid():
                 alpha=1.2, content_mask=mask, filter_hooks=pyramid)).data,
             "csr": lambda: [lap.mat for lap in pyramid.laplacians]}
 
-    serial = {name: fn() for name, fn in jobs(build_pyramid(x)).items()}
+    serial = {name: fn() for name, fn in jobs(build_pyramid(x.data)).items()}
     start = threading.Barrier(3)
     results, errors = {}, []
 
@@ -570,7 +566,7 @@ def test_threads_share_one_pyramid():
             errors.append(f"{name}: {err!r}")
 
     threads = [threading.Thread(target=run, args=item)
-               for item in jobs(build_pyramid(x)).items()]
+               for item in jobs(build_pyramid(x.data)).items()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)      # switch threads often
     try:

@@ -51,7 +51,7 @@ class TestExtractFeatures:
             np.testing.assert_array_equal(f.data, 0.0)
 
     def test_indivisible_dims_rejected(self, rng):
-        with pytest.raises(ValueError, match="divisible"):
+        with pytest.raises(ValueError, match="multiples of 16"):
             extract_features(random_image(rng, (3, 24, 24)), default_extractor(0))
 
     def test_wrong_channel_count_rejected(self, rng):

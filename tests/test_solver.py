@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import make_small_extractor, random_image, smooth_image
 from oracles import descent_iterates, exact_projector
-from gradstyle.graphfilter import matting_laplacian
+from gradstyle.graphfilter import build_pyramid, matting_laplacian
 from gradstyle.perceptual import (
     build_style_target,
     extract_features,
@@ -169,6 +171,17 @@ class TestProjectedDescent:
                 v = it.data[c].reshape(-1)
                 r = v - projector(v)
                 assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(v)
+
+    def test_pyramid_level_filter_is_a_projector(self, problem, fe):
+        # the network's level-0 filter hook takes and returns (c, h, w)
+        # maps, as cfg.projector does, so it projects the init as a whole
+        content, target = problem
+        pyramid = build_pyramid(content.data)
+        cfg = DescentConfig(iters=0, mu=1.0,
+                            projector=functools.partial(pyramid.filter_map, 0))
+        res = grad_descent_stylize(content, target, fe, cfg)
+        np.testing.assert_array_equal(res.image.data,
+                                      pyramid.filter_map(0, content.data))
 
     def test_mu_probe_runs_the_requested_projection(self, fe):
         # the grid search keeps the stepsize whose 10-iteration run, with

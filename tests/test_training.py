@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import smooth_image
+from conftest import BAD_GRAM_SIDES, save_bad_gram_checkpoint, smooth_image
 from gradstyle import tensor, training
 from gradstyle.imagecodec import write_ppm
 from gradstyle.network import init_model
@@ -278,6 +278,15 @@ class TestCheckpoint:
         data[HEADER_BYTES:HEADER_BYTES + 8] = struct.pack("<d", lam_s)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="style weight"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", BAD_GRAM_SIDES)
+    def test_malformed_gram_targets_rejected(self, tmp_path, case):
+        # a Gram count or side other than the default extractor's, or a
+        # non-finite entry, used to load and fail or mislead later
+        path = tmp_path / "m.ckpt"
+        save_bad_gram_checkpoint(path, case)
+        with pytest.raises(ValueError, match="Gram target"):
             load_checkpoint(path)
 
     def test_quantization_applied_once(self, tmp_path, rng):
