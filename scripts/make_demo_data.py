@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 from gradstyle.imagecodec import write_ppm
-from gradstyle.tensor import Tensor
 
 
 def smooth(rng, side, waves=2.5):
@@ -23,7 +22,7 @@ def smooth(rng, side, waves=2.5):
         p1, p2 = rng.uniform(0, 2 * np.pi, 2)
         chans.append(0.5 + 0.25 * np.sin(2 * np.pi * a * yy + p1)
                      + 0.2 * np.cos(2 * np.pi * b * xx + p2))
-    return Tensor(np.clip(np.stack(chans), 0.0, 1.0))
+    return np.clip(np.stack(chans), 0.0, 1.0)
 
 
 def main():

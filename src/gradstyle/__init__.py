@@ -8,6 +8,5 @@ without retraining.
 
 from .graphfilter import build_pyramid
 from .network import InferenceOptions, init_model, stylize
-from .tensor import Tensor
 
 __version__ = "0.1.0"

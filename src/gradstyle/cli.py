@@ -149,8 +149,7 @@ def _write_manifest(path, args, **resolved):
 
 
 def _read_mask(path, soft: bool) -> np.ndarray:
-    img = read_image(path)
-    lum = img.data.mean(axis=0)
+    lum = read_image(path).mean(axis=0)
     return lum if soft else (lum >= 0.5).astype(np.float64)
 
 
@@ -178,18 +177,18 @@ def _cmd_train(args) -> int:
     cfg = TrainConfig(epochs=args.epochs, side=args.size, seed=args.seed)
     model = init_model(seed=args.seed, n_styles=len(styles))
     try:
-        result = train(model, styles, args.contents, cfg)
+        rows = train(model, styles, args.contents, cfg)
     except DivergenceError as err:
         save_checkpoint(err.last_good, args.out)
         print(f"gradstyle: {err} (last good checkpoint saved)", file=sys.stderr)
         return EXIT_DIVERGED
-    save_checkpoint(result.model, args.out)
-    write_training_log(f"{args.out}.log.csv", result.rows)
+    save_checkpoint(model, args.out)
+    write_training_log(f"{args.out}.log.csv", rows)
     per_style = {}
     for i, style_path in enumerate(args.style):
         per_style[f"style{i}"] = style_path
         per_style[f"style{i}.mask"] = masks[i] if masks else None
-        per_style[f"style{i}.lam_s"] = repr(result.model.styles[i].target.lam_s)
+        per_style[f"style{i}.lam_s"] = repr(model.styles[i].target.lam_s)
     _write_manifest(f"{args.out}.manifest", args, lam_c=LAM_C,
                     lam_tv=LAM_TV, lr=ADAM_LR,
                     noise_bound=NOISE_BOUND,
@@ -212,7 +211,7 @@ def _cmd_stylize(args) -> int:
     hooks = None
     lam_info = {}
     if args.photoreal:
-        hooks = build_pyramid(content.data, epsilon=args.matting_eps,
+        hooks = build_pyramid(content, epsilon=args.matting_eps,
                               order=args.cheb_order,
                               lambda_frac=args.lambda_star_frac)
         for lvl, filt in enumerate(hooks.filters):
@@ -245,16 +244,15 @@ def _cmd_compare(args) -> int:
         raise CheckpointError("checkpoint carries no style Gram targets; "
                               "retrain to enable compare")
     fe = default_extractor(model.extractor_seed)
-    content = read_image(args.input)
     # both paths run on the same mirror-padded image so losses are comparable
-    padded = Tensor(mirror_pad(content.data, fe.multiple))
+    padded = mirror_pad(read_image(args.input), fe.multiple)
     cfg = DescentConfig(iters=args.iters, mu=args.mu, init=args.init,
                         seed=args.seed)
     result = grad_descent_stylize(padded, target, fe, cfg)
 
-    c_feats = extract_features(padded, fe)
-    _, net_parts = total_loss(unroll(padded, model, style_id), c_feats,
-                              target, fe)
+    x = Tensor(padded)
+    _, net_parts = total_loss(unroll(x, model, style_id),
+                              extract_features(x, fe), target, fe)
 
     rows = [("gd", i, parts) for i, parts in enumerate(result.trajectory)]
     rows.append(("network", NUM_STEPS, net_parts))

@@ -11,8 +11,6 @@ import os
 
 import numpy as np
 
-from .tensor import Tensor
-
 _WS = b" \t\r\n\x0b\x0c"
 
 
@@ -20,24 +18,26 @@ class CodecError(ValueError):
     """Malformed or unsupported image file."""
 
 
-def _quantize(img: Tensor) -> np.ndarray:
+def _quantize(img: np.ndarray) -> np.ndarray:
     """(h, w, 3) uint8 of a (3, h, w) [0, 1] image, rounded half up."""
-    q = np.floor(np.clip(img.data, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image has non-finite pixels")
+    q = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
     return np.moveaxis(q, 0, 2)
 
 
-def encode_bytes(img: Tensor) -> bytes:
+def encode_bytes(img: np.ndarray) -> bytes:
     """Quantize a (3, h, w) [0, 1] image to interleaved RGB bytes."""
     return _quantize(img).tobytes()
 
 
-def decode_bytes(payload: bytes, height: int, width: int) -> Tensor:
+def decode_bytes(payload: bytes, height: int, width: int) -> np.ndarray:
     arr = np.frombuffer(payload, dtype=np.uint8)
     if arr.size != height * width * 3:
         raise CodecError(f"payload has {arr.size} bytes, expected "
                          f"{height * width * 3}")
     rgb = arr.reshape(height, width, 3).astype(np.float64) / 255.0
-    return Tensor(np.moveaxis(rgb, 2, 0))
+    return np.moveaxis(rgb, 2, 0)
 
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
@@ -58,7 +58,7 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def read_ppm(path) -> Tensor:
+def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         buf = fh.read()
     magic, pos = _next_token(buf, 0)
@@ -82,13 +82,15 @@ def read_ppm(path) -> Tensor:
     return decode_bytes(payload, height, width)
 
 
-def write_ppm(path, img: Tensor):
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+def write_ppm(path, img: np.ndarray):
+    _, height, width = img.shape
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    payload = header + encode_bytes(img)    # before the file is created
     with open(path, "wb") as fh:
-        fh.write(header + encode_bytes(img))
+        fh.write(payload)
 
 
-def read_image(path) -> Tensor:
+def read_image(path) -> np.ndarray:
     """Read PPM (always) or PNG (when pillow is installed) as (3, h, w) [0, 1]."""
     ext = os.path.splitext(str(path))[1].lower()
     if ext == ".png":
@@ -96,7 +98,7 @@ def read_image(path) -> Tensor:
     return read_ppm(path)
 
 
-def write_image(path, img: Tensor):
+def write_image(path, img: np.ndarray):
     ext = os.path.splitext(str(path))[1].lower()
     if ext == ".png":
         _write_png(path, img)
@@ -112,12 +114,12 @@ def _require_pillow():
     return Image
 
 
-def _read_png(path) -> Tensor:
+def _read_png(path) -> np.ndarray:
     image_mod = _require_pillow()
     with image_mod.open(path) as im:
         rgb = np.asarray(im.convert("RGB"), dtype=np.float64) / 255.0
-    return Tensor(np.moveaxis(rgb, 2, 0))
+    return np.moveaxis(rgb, 2, 0)
 
 
-def _write_png(path, img: Tensor):
+def _write_png(path, img: np.ndarray):
     _require_pillow().fromarray(_quantize(img), mode="RGB").save(path)

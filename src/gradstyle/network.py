@@ -23,6 +23,7 @@ from .tensor import (
     NonFiniteError,
     Tensor,
     _active_tape,
+    as_float,
     bilinear_up2,
     chan_matmul,
     clip_unit,
@@ -276,9 +277,10 @@ def unroll(x: Tensor, model: UnrolledModel, style_id: int = 0,
     return x
 
 
-def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
-            opts: InferenceOptions | None = None) -> Tensor:
-    """Run the four unrolled steps from the content image and clip to [0, 1].
+def stylize(content: np.ndarray, model: UnrolledModel, style_id: int = 0,
+            opts: InferenceOptions | None = None) -> np.ndarray:
+    """Run the four unrolled steps from a (3, h, w) content array and clip
+    the result to [0, 1].
 
     The image is mirror-padded to multiples of SIDE_MULTIPLE and cropped
     back, as build_pyramid pads it, so filter hooks match every level. An
@@ -290,10 +292,10 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
     float64, so alpha = 0 still returns the content exactly.
     """
     opts = opts or InferenceOptions()
-    data = content.data
-    if data.min() < 0.0 or data.max() > 1.0:
+    data = as_float(content)
+    if not (0.0 <= data.min() and data.max() <= 1.0):     # NaN fails too
         raise ValueError("content pixels must lie in [0, 1]")
-    h, w = content.height, content.width
+    _, h, w = data.shape
     for name, mask in (("content", opts.content_mask), ("blend", opts.blend_mask)):
         if mask is not None and np.shape(mask) != (h, w):
             raise ValueError(f"{name} mask shape {np.shape(mask)} != image {h}x{w}")
@@ -304,4 +306,4 @@ def stylize(content: Tensor, model: UnrolledModel, style_id: int = 0,
         out = opts.blend_mask * out + (1.0 - opts.blend_mask) * data
     if opts.guided is not None:
         out = np.clip(guided_filter(out, data, opts.guided), 0.0, 1.0)
-    return Tensor(out)
+    return out

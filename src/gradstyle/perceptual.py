@@ -79,9 +79,9 @@ def conv_pyramid(x: Tensor, layers: list[ConvLayer]) -> list[Tensor]:
     """Every layer's output, with 2x2 average pooling between layers, so
     both sides of x must be multiples of side_multiple(len(layers))."""
     m = side_multiple(len(layers))
-    if x.height % m or x.width % m:
-        raise ValueError(f"spatial dims {x.height}x{x.width} must be "
-                         f"multiples of {m}")
+    _, h, w = x.shape
+    if h % m or w % m:
+        raise ValueError(f"spatial dims {h}x{w} must be multiples of {m}")
     feats = [conv2d_reflect(x, layers[0])]
     for layer in layers[1:]:
         feats.append(conv2d_reflect(avg_pool2(feats[-1]), layer))
@@ -102,8 +102,8 @@ def default_extractor(seed: int = 0) -> FeatureExtractor:
 
 def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:
     """One feature map per level; deterministic for fixed weights."""
-    if x.channels != 3:
-        raise ValueError(f"expected a 3-channel image, got {x.channels}")
+    if x.shape[0] != 3:
+        raise ValueError(f"expected a 3-channel image, got {x.shape[0]}")
     return conv_pyramid(x, fe.layers)
 
 
@@ -155,18 +155,18 @@ class StyleTarget:
             raise ValueError("a style Gram target has non-finite entries")
 
 
-def build_style_target(style: Tensor, fe: FeatureExtractor,
+def build_style_target(style: np.ndarray, fe: FeatureExtractor,
                        style_mask: np.ndarray | None = None) -> StyleTarget:
     """The style layers' (optionally masked) Grams and the auto style weight.
 
-    The style image and its mask are mirror-padded to the extractor's
-    multiple first. The weight is the reciprocal of the mean squared Gram
-    energy, so different styles get a comparable initial pull; scaling the
-    style features by s scales it by s^-4.
+    The (3, h, w) style array and its mask are mirror-padded to the
+    extractor's multiple first. The weight is the reciprocal of the mean
+    squared Gram energy, so different styles get a comparable initial pull;
+    scaling the style features by s scales it by s^-4.
     """
     masks = (build_mask_pyramid(style_mask, fe.depth)
              if style_mask is not None else [None] * fe.depth)
-    feats = extract_features(Tensor(mirror_pad(style.data, fe.multiple)), fe)
+    feats = extract_features(Tensor(mirror_pad(style, fe.multiple)), fe)
     grams = [masked_gram(feats[lvl], masks[lvl]).data for lvl in fe.style_layers]
     acc = 0.0
     for g in grams:

@@ -45,16 +45,16 @@ class DescentConfig:
 
 @dataclass
 class DescentResult:
-    image: Tensor
+    image: np.ndarray
     trajectory: list[LossParts]      # indexed by iteration
     mu: float
 
 
-def _init_image(content: Tensor, cfg: DescentConfig) -> np.ndarray:
+def _init_image(content: np.ndarray, cfg: DescentConfig) -> np.ndarray:
     if cfg.init == "content":
-        return content.data.copy()
+        return content.copy()
     return np.random.default_rng(cfg.seed).uniform(0.0, 1.0,
-                                                   size=content.data.shape)
+                                                   size=content.shape)
 
 
 def _loss_and_grad(x: Tensor, c_feats, target, fe):
@@ -64,8 +64,8 @@ def _loss_and_grad(x: Tensor, c_feats, target, fe):
     return parts, grads[x]
 
 
-def _run(content: Tensor, c_feats, target: StyleTarget, fe: FeatureExtractor,
-         cfg: DescentConfig) -> DescentResult:
+def _run(content: np.ndarray, c_feats, target: StyleTarget,
+         fe: FeatureExtractor, cfg: DescentConfig) -> DescentResult:
     """Descent from cfg's init image, projected when cfg.projector is set.
     The caller extracts c_feats, content's features, once for all mu probes."""
     project = cfg.projector if cfg.projector is not None else (lambda x: x)
@@ -84,7 +84,7 @@ def _run(content: Tensor, c_feats, target: StyleTarget, fe: FeatureExtractor,
             f"loss became non-finite at iteration {len(trajectory)} "
             f"(mu={mu:g}, init={cfg.init!r}): {exc}") from exc
     trajectory.append(parts)
-    return DescentResult(x, trajectory, mu)
+    return DescentResult(x.data, trajectory, mu)
 
 
 def _pick_mu(content, c_feats, target, fe, cfg) -> float:
@@ -108,9 +108,10 @@ def _pick_mu(content, c_feats, target, fe, cfg) -> float:
     return best_mu
 
 
-def grad_descent_stylize(content: Tensor, target: StyleTarget,
+def grad_descent_stylize(content: np.ndarray, target: StyleTarget,
                          fe: FeatureExtractor,
                          cfg: DescentConfig) -> DescentResult:
-    """Gradient descent on the objective; trajectory has one row per iterate.
-    When cfg.projector is set, the init and every update pass through it."""
-    return _run(content, extract_features(content, fe), target, fe, cfg)
+    """Gradient descent on the objective from a (3, h, w) content array;
+    trajectory has one row per iterate. When cfg.projector is set, the init
+    and every update pass through it."""
+    return _run(content, extract_features(Tensor(content), fe), target, fe, cfg)

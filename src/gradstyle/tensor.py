@@ -47,8 +47,10 @@ def _check_finite(data, opname):
 
 
 class Tensor:
-    """Array node. Rank 3 = (channels, height, width) for images/features;
-    kernels, style matrices and scalars ride on the same class."""
+    """Array node of the tape, built only where a primitive runs: public
+    entry points take and return plain arrays. Rank 3 = (channels, height,
+    width) for images/features; kernels, style matrices and scalars ride on
+    the same class."""
 
     __slots__ = ("data", "_key")
 
@@ -57,18 +59,6 @@ class Tensor:
         _check_finite(arr, "Tensor")
         self.data = arr
         self._key = None
-
-    @property
-    def channels(self):
-        return self.data.shape[0]
-
-    @property
-    def height(self):
-        return self.data.shape[1]
-
-    @property
-    def width(self):
-        return self.data.shape[2]
 
     @property
     def shape(self):

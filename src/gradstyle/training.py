@@ -122,7 +122,8 @@ def load_content_set(directory, side: int):
     """Decode, center-crop square and resize every image in a directory.
 
     Files are taken in lexicographic name order; undecodable files are
-    skipped with a warning. Returns (images, names).
+    skipped with a warning. Returns (images, names), each image a
+    (3, side, side) array.
     """
     import os
     names = sorted(os.listdir(directory))
@@ -136,21 +137,15 @@ def load_content_set(directory, side: int):
         except imagecodec.CodecError as exc:
             warnings.warn(f"skipping undecodable image {name}: {exc}")
             continue
-        s = min(img.height, img.width)
-        top = (img.height - s) // 2
-        left = (img.width - s) // 2
-        square = img.data[:, top:top + s, left:left + s]
-        images.append(Tensor(np.clip(resize_bilinear(square, side, side), 0.0, 1.0)))
+        _, h, w = img.shape
+        s = min(h, w)
+        top, left = (h - s) // 2, (w - s) // 2
+        square = img[:, top:top + s, left:left + s]
+        images.append(np.clip(resize_bilinear(square, side, side), 0.0, 1.0))
         kept.append(name)
     if not images:
         raise ValueError(f"no decodable images in {directory}")
     return images, kept
-
-
-@dataclass
-class TrainResult:
-    model: UnrolledModel
-    rows: list[LossParts]            # validation loss, indexed by epoch
 
 
 def _validation_row(model, val_imgs, val_feats, fe):
@@ -165,11 +160,12 @@ def _validation_row(model, val_imgs, val_feats, fe):
     return LossParts(*(float(a) for a in acc))
 
 
-def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> TrainResult:
-    """Train in place; returns the model plus the per-epoch validation curve.
+def train(model: UnrolledModel, styles, contents_dir,
+          cfg: TrainConfig) -> list[LossParts]:
+    """Train in place; returns the validation loss, one row per epoch.
 
-    styles: list of (image, optional binary mask) pairs, one entry per style
-    slot in the model. Row 0 of the curve is the pre-training loss. The run
+    styles: list of ((3, h, w) image array, optional binary mask) pairs, one
+    entry per style slot in the model. Row 0 is the pre-training loss. The run
     is bit-deterministic given (seed, cfg, file set); on divergence the last
     end-of-epoch snapshot is attached to the raised error.
     """
@@ -185,7 +181,8 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
     images, _ = load_content_set(contents_dir, cfg.side)
     n_val = max(1, len(images) // 10)
     train_imgs, val_imgs = images[:-n_val] or images[-n_val:], images[-n_val:]
-    train_feats = [extract_features(img, fe) for img in train_imgs]
+    train_feats = [extract_features(Tensor(img), fe) for img in train_imgs]
+    val_imgs = [Tensor(img) for img in val_imgs]
     val_feats = [extract_features(img, fe) for img in val_imgs]
 
     params = model.parameters()
@@ -204,9 +201,9 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
                 style_i = sample_counter % model.n_styles
                 sample_counter += 1
                 amp = noise_rng.uniform(0.0, NOISE_BOUND)
-                noise = noise_rng.uniform(-amp, amp, size=img.data.shape)
+                noise = noise_rng.uniform(-amp, amp, size=img.shape)
                 with GradTape() as tape:
-                    x4 = unroll(Tensor(img.data + noise), model, style_i)
+                    x4 = unroll(Tensor(img + noise), model, style_i)
                     loss, _ = total_loss(x4, train_feats[idx],
                                          model.styles[style_i].target, fe)
                     grads = backward(tape, loss)
@@ -219,7 +216,7 @@ def train(model: UnrolledModel, styles, contents_dir, cfg: TrainConfig) -> Train
             err.last_good = last_good
             raise err from exc
         last_good = copy.deepcopy(model)
-    return TrainResult(model, rows)
+    return rows
 
 
 def write_training_log(path, rows: list[LossParts]):

@@ -69,7 +69,8 @@ def random_image(rng, shape=(3, 8, 8), lo=0.1, hi=0.9):
 
 
 def smooth_image(rng, side, waves=2):
-    """Smooth synthetic RGB image: sums of low-frequency sinusoids in [0,1]."""
+    """Smooth synthetic (3, side, side) RGB array: sums of low-frequency
+    sinusoids in [0,1]."""
     yy, xx = np.meshgrid(np.linspace(0, 1, side), np.linspace(0, 1, side),
                          indexing="ij")
     chans = []
@@ -79,7 +80,7 @@ def smooth_image(rng, side, waves=2):
         img = 0.5 + 0.25 * np.sin(2 * np.pi * a * yy + ph1) \
             + 0.2 * np.cos(2 * np.pi * b * xx + ph2)
         chans.append(img)
-    return Tensor(np.clip(np.stack(chans), 0.0, 1.0))
+    return np.clip(np.stack(chans), 0.0, 1.0)
 
 
 # Gram sides of style targets no checkpoint may carry: a trained style has

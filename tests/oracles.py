@@ -406,7 +406,7 @@ def stylize_float64(content, model, style_id=0, opts=None):
     opts = opts or InferenceOptions()
     assert opts.blend_mask is None and opts.guided is None
     _, h, w = content.shape
-    x = unroll(Tensor(mirror_pad(content.data, SIDE_MULTIPLE)), model,
+    x = unroll(Tensor(mirror_pad(content, SIDE_MULTIPLE)), model,
                style_id, opts)
     return np.clip(x.data, 0.0, 1.0)[:, :h, :w]
 

@@ -67,7 +67,7 @@ def test_criterion_2_gradient_correctness():
         # checks run on a seeded 3-level extractor with the same loss forms
         fe = make_small_extractor(seed=5)
         content = Tensor(rng.uniform(0.15, 0.85, (3, 8, 8)))
-        target = build_style_target(Tensor(rng.uniform(0.1, 0.9, (3, 8, 8))), fe)
+        target = build_style_target(rng.uniform(0.1, 0.9, (3, 8, 8)), fe)
         c_feats = extract_features(content, fe)
 
         # (a) objective gradient w.r.t. the image, rel err <= 1e-4
@@ -160,14 +160,14 @@ def test_criterion_5_projected_descent_bandlimitedness():
     with criterion(5, 60.0, "projected iterates stay bandlimited"):
         rng = np.random.default_rng(11)
         fe = make_small_extractor()
-        content = Tensor(rng.uniform(0.1, 0.9, (3, 8, 8)))
-        target = build_style_target(Tensor(rng.uniform(0.1, 0.9, (3, 8, 8))), fe)
-        lap = matting_laplacian(content.data)
+        content = rng.uniform(0.1, 0.9, (3, 8, 8))
+        target = build_style_target(rng.uniform(0.1, 0.9, (3, 8, 8)), fe)
+        lap = matting_laplacian(content)
         projector = exact_projector(lap, 0.2 * lap.lambda_max)
         cfg = DescentConfig(iters=5, mu=0.5, projector=projector)
         for it in descent_iterates(content, target, fe, cfg):
             for c in range(3):
-                v = it.data[c].reshape(-1)
+                v = it[c].reshape(-1)
                 r = v - projector(v)
                 assert r @ r <= 1e-10 * (v @ v)
 
@@ -181,7 +181,7 @@ def test_criterion_5_projected_descent_bandlimitedness():
         proj = grad_descent_stylize(content, target, fe, proj_cfg)
         for a, b in zip(descent_iterates(content, target, fe, plain_cfg),
                         descent_iterates(content, target, fe, proj_cfg)):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
         for a, b in zip(plain.trajectory, proj.trajectory):
             assert (a.total, a.content, a.style, a.tv) == \
                 (b.total, b.content, b.style, b.tv)
@@ -236,27 +236,26 @@ def test_criterion_7_runtime_restructuring_identities():
         # intensity zero returns the input exactly
         out = descent_step(x, 0, model, 0, InferenceOptions(alpha=0.0))
         assert np.array_equal(out.data, x.data)
-        assert np.array_equal(stylize(x, model, 0,
-                                      InferenceOptions(alpha=0.0)).data,
+        assert np.array_equal(stylize(x.data, model, 0,
+                                      InferenceOptions(alpha=0.0)),
                               x.data)
 
         # all-ones masks reproduce every unmasked computation to 1e-12
         feats = forward_maps(x, model)
-        ones_pix = np.ones(feats[0].height * feats[0].width)
+        ones_pix = np.ones(feats[0].data[0].size)
         g_plain = masked_gram(feats[0]).data
         g_ones = masked_gram(feats[0], ones_pix).data
         assert np.max(np.abs(g_plain - g_ones)) <= 1e-12
 
         fe = make_small_extractor(seed=9, channels=(4, 8, 8))
         xf = extract_features(Tensor(rng.uniform(0.1, 0.9, (3, 16, 16))), fe)
-        target = build_style_target(Tensor(rng.uniform(0.1, 0.9, (3, 16, 16))),
-                                    fe)
+        target = build_style_target(rng.uniform(0.1, 0.9, (3, 16, 16)), fe)
         ones_pyr = build_mask_pyramid(np.ones((16, 16)), fe.depth)
         assert abs(style_loss(xf, target, fe, ones_pyr).item()
                    - style_loss(xf, target, fe).item()) <= 1e-12
 
         corr_plain = style_correction(feats[1], model.styles[0].h[0][1])
-        ones1 = np.ones(feats[1].height * feats[1].width)
+        ones1 = np.ones(feats[1].data[0].size)
         corr_ones = style_correction(feats[1], model.styles[0].h[0][1], ones1)
         assert np.max(np.abs(corr_plain.data - corr_ones.data)) <= 1e-12
 
@@ -266,10 +265,10 @@ def test_criterion_7_runtime_restructuring_identities():
         plain = backward_map(corrections, model)
         hooked = backward_map(corrections, model, IdentityHooks())
         assert np.array_equal(plain.data, hooked.data)
-        s_plain = stylize(x, model)
-        s_hooked = stylize(x, model, 0,
+        s_plain = stylize(x.data, model)
+        s_hooked = stylize(x.data, model, 0,
                            InferenceOptions(filter_hooks=IdentityHooks()))
-        assert np.array_equal(s_plain.data, s_hooked.data)
+        assert np.array_equal(s_plain, s_hooked)
 
 
 def test_criterion_8_photoreal_feasibility(tmp_path, monkeypatch):

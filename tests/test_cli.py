@@ -18,6 +18,7 @@ from gradstyle.perceptual import (
     extract_features,
     total_loss,
 )
+from gradstyle.tensor import Tensor
 from gradstyle.training import load_checkpoint, save_checkpoint
 
 
@@ -251,7 +252,7 @@ class TestCompareCommand:
         # recomputed independently through the public API
         model = load_checkpoint(workspace["ckpt"])
         fe = default_extractor(model.extractor_seed)
-        content = read_image(inp)
+        content = Tensor(read_image(inp))
         target = model.styles[0].target
         feats = extract_features(content, fe)
         _, parts = total_loss(content, feats, target, fe)

@@ -14,7 +14,6 @@ from gradstyle.imagecodec import (
     write_image,
     write_ppm,
 )
-from gradstyle.tensor import Tensor
 
 # quantized bytes of the seed-20260811 uniform 24x17 image; platform-stable
 FIXTURE_SHA256 = "28427fa50090431bca6e7b8158e02306768b2d1596494e2a69c2e6567b101526"
@@ -22,7 +21,7 @@ FIXTURE_SHA256 = "28427fa50090431bca6e7b8158e02306768b2d1596494e2a69c2e6567b1015
 
 def fixture_image():
     rng = np.random.default_rng(20260811)
-    return Tensor(rng.uniform(0.0, 1.0, (3, 24, 17)))
+    return rng.uniform(0.0, 1.0, (3, 24, 17))
 
 
 class TestQuantization:
@@ -32,12 +31,21 @@ class TestQuantization:
         assert encode_bytes(img) == raw
 
     def test_half_rounds_up(self):
-        img = Tensor(np.full((3, 1, 1), 0.5))
+        img = np.full((3, 1, 1), 0.5)
         assert encode_bytes(img) == bytes([128, 128, 128])
 
     def test_extremes(self):
-        img = Tensor(np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
+        img = np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1)
         assert encode_bytes(img) == bytes([0, 255, 0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, tmp_path, value):
+        # a NaN used to be quantized to byte 0 with only a cast warning
+        img = np.full((3, 2, 2), 0.5)
+        img[0, 1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            write_ppm(tmp_path / "bad.ppm", img)
+        assert not (tmp_path / "bad.ppm").exists()
 
 
 @settings(max_examples=50, deadline=None)
@@ -50,7 +58,7 @@ def test_quantization_roundtrips_any_bytes(h, w, seed):
 
 class TestPpm:
     def test_roundtrip(self, tmp_path, rng):
-        img = Tensor(rng.uniform(0, 1, (3, 9, 7)))
+        img = rng.uniform(0, 1, (3, 9, 7))
         path = tmp_path / "img.ppm"
         write_ppm(path, img)
         back = read_ppm(path)
@@ -101,7 +109,7 @@ class TestPpm:
 class TestPng:
     def test_roundtrip_when_pillow_available(self, tmp_path, rng):
         pytest.importorskip("PIL")
-        img = Tensor(rng.uniform(0, 1, (3, 8, 6)))
+        img = rng.uniform(0, 1, (3, 8, 6))
         path = tmp_path / "img.png"
         write_image(path, img)
         back = read_image(path)

@@ -10,7 +10,7 @@ from gradstyle.guided import GuidedFilterParams, guided_filter
 
 
 def textured_image(rng, side):
-    base = smooth_image(rng, side).data
+    base = smooth_image(rng, side)
     return np.clip(base + rng.uniform(-0.06, 0.06, base.shape), 0, 1)
 
 

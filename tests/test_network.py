@@ -72,8 +72,8 @@ class TestForwardMaps:
         feats = forward_maps(Tensor(rng.uniform(0, 1, (3, 16, 16))),
                              init_model(1))
         for l, f in enumerate(feats):
-            assert f.channels == 16 * 2 ** l == CHANNELS[l]
-            assert (f.height, f.width) == (16 >> l, 16 >> l)
+            assert f.shape == (16 * 2 ** l, 16 >> l, 16 >> l)
+            assert f.shape[0] == CHANNELS[l]
 
     def test_zero_weights_zero_features(self, rng):
         feats = forward_maps(Tensor(rng.uniform(0, 1, (3, 16, 16))),
@@ -152,7 +152,7 @@ class TestBackwardMap:
         g = conv2d_reflect(lincomb(c1, bilinear_up2(b2)), model.bwd[3])
         out = backward_map([c1, c2, c3, c4], model)
         np.testing.assert_array_equal(out.data, g.data)
-        assert out.channels == 3
+        assert out.shape[0] == 3
 
     def test_last_layer_allows_negative(self, rng):
         out = backward_map(self._corrections(rng), init_model(7))
@@ -247,13 +247,12 @@ class TestContentMaskInOptions:
         assert not np.array_equal(masked.data, unroll(x, model).data)
 
     def test_stylize_is_the_clipped_float32_unroll(self, rng):
-        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        x = rng.uniform(0, 1, (3, 16, 16))
         model = seeded_model(18)
         opts = half_mask_opts()
-        expected = np.clip(unroll(x, model.astype(np.float32), 0, opts).data,
-                           0, 1)
-        np.testing.assert_array_equal(stylize(x, model, 0, opts).data,
-                                      expected)
+        expected = np.clip(
+            unroll(Tensor(x), model.astype(np.float32), 0, opts).data, 0, 1)
+        np.testing.assert_array_equal(stylize(x, model, 0, opts), expected)
 
     def test_options_holding_masks_compare_without_raising(self):
         # comparing the mask arrays element-wise would raise "truth value
@@ -293,63 +292,74 @@ class TestParamCount:
 
 class TestStylize:
     def test_zero_model_returns_content(self, rng):
-        x = Tensor(rng.uniform(0.05, 0.95, (3, 16, 16)))
+        x = rng.uniform(0.05, 0.95, (3, 16, 16))
         out = stylize(x, zero_model())
-        np.testing.assert_array_equal(out.data, x.data)
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_array_equal(out, x)
 
     def test_all_zero_blend_returns_content(self, rng):
-        x = Tensor(rng.uniform(0.05, 0.95, (3, 16, 16)))
+        x = rng.uniform(0.05, 0.95, (3, 16, 16))
         opts = InferenceOptions(blend_mask=np.zeros((16, 16)))
         out = stylize(x, seeded_model(9), 0, opts)
-        np.testing.assert_array_equal(out.data, x.data)
+        np.testing.assert_array_equal(out, x)
 
     def test_deterministic(self, rng):
-        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        x = rng.uniform(0, 1, (3, 16, 16))
         model = seeded_model(10)
         a = stylize(x, model)
         b = stylize(x, model)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_output_in_unit_range(self, rng):
-        out = stylize(Tensor(rng.uniform(0, 1, (3, 16, 16))), seeded_model(12))
-        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+        out = stylize(rng.uniform(0, 1, (3, 16, 16)), seeded_model(12))
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_odd_size_padded_and_cropped(self, rng):
-        x = Tensor(rng.uniform(0, 1, (3, 13, 22)))
+        x = rng.uniform(0, 1, (3, 13, 22))
         out = stylize(x, seeded_model(13))
         assert out.shape == (3, 13, 22)
         # padding must not change the zero-model identity
-        np.testing.assert_array_equal(stylize(x, zero_model()).data, x.data)
+        np.testing.assert_array_equal(stylize(x, zero_model()), x)
 
     def test_content_mask_changes_result(self, rng):
-        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        x = rng.uniform(0, 1, (3, 16, 16))
         mask = np.zeros((16, 16))
         mask[:, :8] = 1.0
         model = seeded_model(14)
         masked = stylize(x, model, 0, InferenceOptions(content_mask=mask))
         plain = stylize(x, model)
-        assert not np.array_equal(masked.data, plain.data)
+        assert not np.array_equal(masked, plain)
 
     def test_all_ones_content_mask_matches_plain(self, rng):
-        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        x = rng.uniform(0, 1, (3, 16, 16))
         model = seeded_model(15)
         ones = stylize(x, model, 0, InferenceOptions(content_mask=np.ones((16, 16))))
         plain = stylize(x, model)
-        np.testing.assert_array_equal(ones.data, plain.data)
+        np.testing.assert_array_equal(ones, plain)
 
     @pytest.mark.parametrize("name", ["content", "blend"])
     def test_mask_of_another_size_rejected(self, rng, name):
-        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        x = rng.uniform(0, 1, (3, 16, 16))
         opts = InferenceOptions(**{f"{name}_mask": np.ones((16, 8))})
         with pytest.raises(ValueError, match=f"{name} mask shape"):
             stylize(x, seeded_model(15), 0, opts)
 
     def test_out_of_range_pixels_rejected(self):
         with pytest.raises(ValueError, match="0, 1"):
-            stylize(Tensor(np.full((3, 16, 16), 1.5)), zero_model())
+            stylize(np.full((3, 16, 16), 1.5), zero_model())
+
+    @pytest.mark.parametrize("value", [np.nan, -0.1, 1.5])
+    def test_pixel_outside_unit_range_or_nan_rejected(self, rng, value):
+        # an array, unlike a Tensor, does not reject NaN on its own, so the
+        # range check must be written so that NaN fails it
+        x = rng.uniform(0, 1, (3, 16, 16))
+        x[1, 4, 7] = value
+        with pytest.raises(ValueError,
+                           match=r"^content pixels must lie in \[0, 1\]$"):
+            stylize(x, zero_model())
 
     def test_guided_toggle_runs(self, rng):
-        x = Tensor(rng.uniform(0.1, 0.9, (3, 16, 16)))
+        x = rng.uniform(0.1, 0.9, (3, 16, 16))
         out = stylize(x, seeded_model(16), 0,
                       InferenceOptions(guided=GuidedFilterParams(radius=2)))
         assert out.shape == x.shape
@@ -369,8 +379,8 @@ class _ProjectorHooks:
 
 def test_projector_hooks_keep_iterates_bandlimited(rng):
     side = 16
-    content = Tensor(rng.uniform(0.1, 0.9, (3, side, side)))
-    pyr = build_pyramid(content.data)
+    content = rng.uniform(0.1, 0.9, (3, side, side))
+    pyr = build_pyramid(content)
     projs, sides = [], []
     for lvl in range(4):
         lap = pyr.laplacians[lvl]
@@ -378,7 +388,7 @@ def test_projector_hooks_keep_iterates_bandlimited(rng):
                      if pyr.filters[lvl] is not None else (lambda v: v))
         sides.append((lap.height, lap.width))
     hooks = _ProjectorHooks(projs, sides)
-    x0 = Tensor(projs[0](content.data))
+    x0 = Tensor(projs[0](content))
     model = seeded_model(20, h_scale=0.05)
     opts = InferenceOptions(filter_hooks=hooks)
     x = x0
@@ -416,13 +426,13 @@ def test_tape_in_one_thread_records_nothing_from_another(rng):
     the tape sees only its own thread's primitives and every result is
     bit-equal to a serial run."""
     model = seeded_model(4)
-    img = Tensor(rng.uniform(0.1, 0.9, (3, 16, 16)))
+    img = rng.uniform(0.1, 0.9, (3, 16, 16))
     hooked = InferenceOptions(filter_hooks=oracles.IdentityHooks())
     tape_open, inference_done = threading.Event(), threading.Barrier(3)
 
     def train_step(concurrent):
         with GradTape() as tape:
-            loss = sqsum(descent_step(img, 0, model))
+            loss = sqsum(descent_step(Tensor(img), 0, model))
             if concurrent:
                 tape_open.set()
                 inference_done.wait(timeout=60)
@@ -432,12 +442,12 @@ def test_tape_in_one_thread_records_nothing_from_another(rng):
     def infer(opts):
         tape_open.wait(timeout=60)
         try:
-            return stylize(img, model, 0, opts).data
+            return stylize(img, model, 0, opts)
         finally:
             inference_done.wait(timeout=60)
 
-    serial = {"plain": stylize(img, model).data,
-              "hooked": stylize(img, model, 0, hooked).data,
+    serial = {"plain": stylize(img, model),
+              "hooked": stylize(img, model, 0, hooked),
               "train": train_step(False)}
     results, errors = {}, []
 
@@ -465,7 +475,7 @@ def test_tape_in_one_thread_records_nothing_from_another(rng):
 def test_untaped_stylize_builds_no_im2col_buffer(rng):
     # the im2col matrix of the 16->3 conv at 128^2 alone is 9*16*128^2*8 B
     model = init_model(0)
-    img = Tensor(rng.uniform(0.1, 0.9, (3, 128, 128)))
+    img = rng.uniform(0.1, 0.9, (3, 128, 128))
     assert traced_peak(lambda: stylize(img, model)) < 9 * 16 * 128 * 128 * 8
 
 
@@ -474,8 +484,8 @@ def test_hooked_backward_pyramid_frees_each_map_once_used(rng):
     # holding every correction and every filtered conv input until the
     # backward pyramid returns, at 9.5 MB
     model = init_model(0)
-    img = Tensor(rng.uniform(0.1, 0.9, (3, 128, 128)))
-    opts = InferenceOptions(filter_hooks=build_pyramid(img.data))
+    img = rng.uniform(0.1, 0.9, (3, 128, 128))
+    opts = InferenceOptions(filter_hooks=build_pyramid(img))
     assert traced_peak(lambda: stylize(img, model, 0, opts)) < 8e6
 
 
@@ -508,7 +518,7 @@ def spy_dtypes(monkeypatch):
 def photoreal_opts(x, **extra):
     """Masked photoreal options on a square image: a content mask over its
     left half and the content's filter pyramid, as the CLI builds them."""
-    return half_mask_opts(x.height, alpha=1.2, filter_hooks=build_pyramid(x.data),
+    return half_mask_opts(x.shape[1], alpha=1.2, filter_hooks=build_pyramid(x),
                           **extra)
 
 
@@ -549,12 +559,12 @@ def test_threads_share_one_pyramid():
     def jobs(pyramid):
         return {
             "plain": lambda: stylize(x, model, 0, InferenceOptions(
-                filter_hooks=pyramid)).data,
+                filter_hooks=pyramid)),
             "masked": lambda: stylize(x, model, 0, InferenceOptions(
-                alpha=1.2, content_mask=mask, filter_hooks=pyramid)).data,
+                alpha=1.2, content_mask=mask, filter_hooks=pyramid)),
             "csr": lambda: [lap.mat for lap in pyramid.laplacians]}
 
-    serial = {name: fn() for name, fn in jobs(build_pyramid(x.data)).items()}
+    serial = {name: fn() for name, fn in jobs(build_pyramid(x)).items()}
     start = threading.Barrier(3)
     results, errors = {}, []
 
@@ -566,7 +576,7 @@ def test_threads_share_one_pyramid():
             errors.append(f"{name}: {err!r}")
 
     threads = [threading.Thread(target=run, args=item)
-               for item in jobs(build_pyramid(x.data)).items()]
+               for item in jobs(build_pyramid(x)).items()]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)      # switch threads often
     try:
@@ -595,11 +605,11 @@ class TestFloat32Direction:
     FLOAT64_OPS = [("lincomb", np.float64)] * NUM_STEPS + [("clamp", np.float64)]
 
     def test_artistic_direction_is_float32(self, rng, monkeypatch):
-        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        x = rng.uniform(0, 1, (3, 16, 16))
         model = seeded_model(21)
         seen = spy_dtypes(monkeypatch)
         out = stylize(x, model)
-        assert out.data.dtype == np.float64
+        assert out.dtype == np.float64
         assert [op for op in seen if op[1] != np.float32] == self.FLOAT64_OPS
         assert len(seen) > 10 * NUM_STEPS
         # the weights the caller passed are not touched
@@ -621,7 +631,7 @@ class TestFloat32Direction:
         pyramid.filter_map = filter_map
         seen = spy_dtypes(monkeypatch)
         out = stylize(x, seeded_model(22), 0, opts)
-        assert out.data.dtype == np.float64
+        assert out.dtype == np.float64
         assert [op for op in seen if op[1] != np.float32] == self.FLOAT64_OPS
         # 4 corrections and 4 conv outputs per step, every one filtered in
         # float32
@@ -632,13 +642,13 @@ class TestFloat32Direction:
             def filter_map(self, level, arr):
                 return arr.astype(np.float64)
 
-        x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        x = rng.uniform(0, 1, (3, 16, 16))
         model = seeded_model(23)
         seen = spy_dtypes(monkeypatch)
         hooked = stylize(x, model, 0, InferenceOptions(filter_hooks=Float64Hooks()))
         assert [op for op in seen if op[1] != np.float32] == self.FLOAT64_OPS
         # float32 -> float64 -> float32 is exact, so the hook is a no-op
-        np.testing.assert_array_equal(hooked.data, stylize(x, model).data)
+        np.testing.assert_array_equal(hooked, stylize(x, model))
 
     def test_cast_under_a_tape_is_refused(self, rng):
         x = Tensor(rng.uniform(0, 1, (3, 16, 16)))
@@ -694,7 +704,7 @@ def test_stylize_matches_float64_oracle(photoreal):
     x = smooth_image(rng, side, waves=4)
     opts = photoreal_opts(x) if photoreal else InferenceOptions()
     model = benchmark_like_model(31)
-    out = stylize(x, model, 0, opts).data
+    out = stylize(x, model, 0, opts)
     ref = oracles.stylize_float64(x, model, 0, opts)
     assert np.mean((ref == 0.0) | (ref == 1.0)) < 0.25     # 8-10% clip
     assert np.max(np.abs(quantize(out) - quantize(ref))) <= 1

@@ -122,7 +122,7 @@ class TestStyleLoss:
     def test_target_gram_shape_mismatch_rejected(self, rng):
         fe = make_small_extractor()
         xf = extract_features(random_image(rng), fe)
-        grams = build_style_target(random_image(rng), fe).grams
+        grams = build_style_target(random_image(rng).data, fe).grams
         lvl = fe.style_layers[-1]
         side = grams[-1].shape[0] + 1
         target = StyleTarget(grams[:-1] + [np.eye(side)], 1.0)
@@ -142,7 +142,7 @@ class TestStyleLoss:
         fe = make_small_extractor()
         x = random_image(rng)
         feats = extract_features(x, fe)
-        target = build_style_target(random_image(rng), fe)
+        target = build_style_target(random_image(rng).data, fe)
         ones = build_mask_pyramid(np.ones((8, 8)), fe.depth)
         masked = style_loss(feats, target, fe, ones).item()
         plain = style_loss(feats, target, fe).item()
@@ -151,7 +151,7 @@ class TestStyleLoss:
     def test_matches_dense_oracle(self, rng):
         fe = make_small_extractor()
         xf = extract_features(random_image(rng), fe)
-        target = build_style_target(random_image(rng), fe)
+        target = build_style_target(random_image(rng).data, fe)
         ref = oracles.style_loss_reference([f.data for f in xf], target.grams,
                                            fe.style_layers)
         assert style_loss(xf, target, fe).item() == pytest.approx(ref, rel=1e-12)
@@ -159,7 +159,7 @@ class TestStyleLoss:
     def test_empty_content_mask_rejected(self, rng):
         fe = make_small_extractor()
         xf = extract_features(random_image(rng), fe)
-        target = build_style_target(random_image(rng), fe)
+        target = build_style_target(random_image(rng).data, fe)
         dead = [np.zeros(64), np.ones(16), np.ones(4)]
         with pytest.raises(ValueError, match="empty"):
             style_loss(xf, target, fe, dead)
@@ -197,7 +197,7 @@ class TestTotalLoss:
         fe = make_small_extractor()
         x = random_image(rng)
         c_feats = extract_features(random_image(rng), fe)
-        target = build_style_target(random_image(rng), fe)
+        target = build_style_target(random_image(rng).data, fe)
         total, parts = total_loss(x, c_feats, target, fe)
         recomposed = LAM_C * parts.content + target.lam_s * parts.style \
             + LAM_TV * parts.tv
@@ -208,7 +208,7 @@ class TestTotalLoss:
         fe = make_small_extractor()
         x = random_image(rng, lo=0.15, hi=0.85)
         c_feats = extract_features(random_image(rng), fe)
-        target = build_style_target(random_image(rng), fe)
+        target = build_style_target(random_image(rng).data, fe)
 
         def value():
             return total_loss(x, c_feats, target, fe)[0].item()
@@ -225,7 +225,7 @@ class TestTotalLoss:
         x.data[0, 0, 0] = 1.7
         x.data[1, 3, 2] = -0.4
         c_feats = extract_features(random_image(rng), fe)
-        target = build_style_target(random_image(rng), fe)
+        target = build_style_target(random_image(rng).data, fe)
         with GradTape() as tape:
             loss, _ = total_loss(x, c_feats, target, fe)
             g = backward(tape, loss)[x]
@@ -240,42 +240,42 @@ class TestStyleWeightAuto:
         layer = ConvLayer(Tensor(np.zeros((1, 3, 3, 3))), Tensor(np.ones(1)),
                           relu=True)
         fe = FeatureExtractor([layer], (0,), (0,))
-        style = Tensor(np.zeros((3, 1, 2)))
+        style = np.zeros((3, 1, 2))
         assert build_style_target(style, fe).lam_s == pytest.approx(1.0, rel=1e-14)
 
     def test_homogeneity_degree_minus_four(self, rng):
         fe = make_small_extractor()  # zero biases: positively homogeneous
-        style = Tensor(rng.uniform(0.05, 0.45, (3, 8, 8)))
+        style = rng.uniform(0.05, 0.45, (3, 8, 8))
         lam1 = build_style_target(style, fe).lam_s
-        lam2 = build_style_target(Tensor(2.0 * style.data), fe).lam_s
+        lam2 = build_style_target(2.0 * style, fe).lam_s
         assert lam2 == pytest.approx(lam1 / 16.0, rel=1e-12)
 
     def test_matches_direct_formula(self, rng):
         fe = default_extractor(3)
-        style = random_image(rng, (3, 32, 32))
-        feats = extract_features(style, fe)
+        style = random_image(rng, (3, 32, 32)).data
+        feats = extract_features(Tensor(style), fe)
         acc = 0.0
         for lvl in fe.style_layers:
             g = oracles.gram_reference(feats[lvl].data)
-            acc += np.sum(g * g) / feats[lvl].channels ** 2
+            acc += np.sum(g * g) / feats[lvl].shape[0] ** 2
         expected = 1.0 / (acc / len(fe.style_layers))
         assert build_style_target(style, fe).lam_s == pytest.approx(expected, rel=1e-10)
 
     def test_zero_style_rejected(self):
         fe = make_small_extractor()
         with pytest.raises(ValueError, match="undefined"):
-            build_style_target(Tensor(np.zeros((3, 8, 8))), fe)
+            build_style_target(np.zeros((3, 8, 8)), fe)
 
 
 def test_style_target_pads_style_and_mask_to_the_extractor(rng):
     # the default extractor pools four times, so 21 pads to 32
     fe = default_extractor(0)
     assert fe.multiple == 16
-    style = random_image(rng, (3, 21, 21))
+    style = random_image(rng, (3, 21, 21)).data
     mask = np.zeros((21, 21))
     mask[:, :12] = 1.0
     got = build_style_target(style, fe, mask)
-    ref = build_style_target(Tensor(mirror_pad(style.data, 16)), fe,
+    ref = build_style_target(mirror_pad(style, 16), fe,
                              mirror_pad(mask, 16))
     assert got.lam_s == ref.lam_s
     for g, r in zip(got.grams, ref.grams):
@@ -353,7 +353,7 @@ def test_all_ones_mask_never_changes_gram(seed):
 
 class TestStyleTarget:
     def test_grams_symmetric_psd(self, rng):
-        target = build_style_target(random_image(rng, (3, 16, 16)),
+        target = build_style_target(random_image(rng, (3, 16, 16)).data,
                                     make_small_extractor())
         for g in target.grams:
             np.testing.assert_array_equal(g, g.T)
@@ -361,7 +361,7 @@ class TestStyleTarget:
 
     def test_masked_target_uses_style_mask(self, rng):
         fe = make_small_extractor()
-        style = random_image(rng, (3, 16, 16))
+        style = random_image(rng, (3, 16, 16)).data
         mask = np.zeros((16, 16))
         mask[:, :8] = 1.0
         masked = build_style_target(style, fe, mask)

@@ -10,8 +10,13 @@ import importlib.util
 import inspect
 import pathlib
 import re
+import runpy
+import sys
 
+import numpy as np
 import pytest
+
+from gradstyle.imagecodec import read_image, write_ppm
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -40,14 +45,67 @@ def _run_imports(nodes, filename):
     exec(compile(ast.Module(body=nodes, type_ignores=[]), filename, "exec"), {})
 
 
-def test_readme_library_imports_resolve():
+def _readme_python_blocks():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    return re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+
+
+def test_readme_library_imports_resolve():
+    blocks = _readme_python_blocks()
     assert blocks
     for block in blocks:
         _run_imports([node for node in ast.parse(block).body
                       if isinstance(node, (ast.Import, ast.ImportFrom))],
                      "README.md")
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the example's free names are bound to small arrays, and contents/
+    # holds 3 images, so train fits on 2 and validates on 1
+    rng = np.random.default_rng(0)
+    (tmp_path / "contents").mkdir()
+    for i in range(3):
+        write_ppm(tmp_path / "contents" / f"c{i}.ppm",
+                  rng.uniform(0, 1, (3, 16, 16)))
+    monkeypatch.chdir(tmp_path)
+    (block,) = [b for b in _readme_python_blocks() if "stylize(" in b]
+    names = {"style_image": rng.uniform(0, 1, (3, 16, 16)),
+             "my_array": rng.uniform(-0.2, 1.2, (3, 20, 24))}
+    exec(compile(block, "README.md", "exec"), names)
+    assert len(names["rows"]) == 3              # epochs 0, 1 and 2
+    assert float(capsys.readouterr().out) == names["rows"][-1].total
+    for out in (names["art"], names["photo"]):
+        assert isinstance(out, np.ndarray) and out.shape == (3, 20, 24)
+
+
+def test_make_demo_data_writes_readable_images(tmp_path, monkeypatch):
+    out = tmp_path / "demo"
+    monkeypatch.setattr(sys, "argv", ["make_demo_data.py", "--out", str(out),
+                                      "--count", "2", "--side", "16"])
+    runpy.run_path(str(ROOT / "scripts" / "make_demo_data.py"),
+                   run_name="__main__")
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.ppm"))
+    assert written == ["contents/content_000.ppm", "contents/content_001.ppm",
+                       "held_out.ppm", "style.ppm"]
+    for name in written:
+        img = read_image(out / name)
+        assert img.shape == (3, 16, 16)
+        assert 0.0 <= img.min() and img.max() <= 1.0
+
+
+# modules that speak only arrays: the codec and the filters never build or
+# read a Tensor, and the package's re-exports are array entry points
+ARRAY_ONLY = ("imagecodec.py", "graphfilter.py", "guided.py", "__init__.py")
+
+
+@pytest.mark.parametrize("name", ARRAY_ONLY)
+def test_array_only_modules_import_no_tensor(name):
+    tree = ast.parse((ROOT / "src" / "gradstyle" / name).read_text(
+        encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert "Tensor" not in imported
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "perfbench").glob("*.py")),

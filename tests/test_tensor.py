@@ -218,7 +218,7 @@ class TestBackward:
         # one 64x64 training step: keeping every intermediate gradient until
         # the end peaked at 25 MB, the leaves' gradients alone take 5.4 MB
         model, fe = init_model(0), default_extractor(0)
-        target = build_style_target(Tensor(rng.uniform(0, 1, (3, 64, 64))), fe)
+        target = build_style_target(rng.uniform(0, 1, (3, 64, 64)), fe)
         img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
         c_feats = extract_features(img, fe)
         with GradTape() as tape:
@@ -232,7 +232,7 @@ class TestBackward:
         # one 64x64 training step's tape: holding every intermediate map
         # kept 26.7 MB, the arrays the vjps read and the leaves take 13.4 MB
         model, fe = init_model(0), default_extractor(0)
-        target = build_style_target(Tensor(rng.uniform(0, 1, (3, 64, 64))), fe)
+        target = build_style_target(rng.uniform(0, 1, (3, 64, 64)), fe)
         img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
         c_feats = extract_features(img, fe)
 

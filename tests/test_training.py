@@ -106,23 +106,24 @@ class TestResize:
 
 class TestLoadContentSet:
     def test_crop_and_resize_rule(self, tmp_path, rng):
-        img = Tensor(rng.uniform(0, 1, (3, 60, 100)))
+        img = rng.uniform(0, 1, (3, 60, 100))
         p = tmp_path / "wide.ppm"
         write_ppm(p, img)
         images, names = load_content_set(tmp_path, 32)
         assert names == ["wide.ppm"]
         assert images[0].shape == (3, 32, 32)
         # center crop keeps the middle 60x60 columns before resizing
-        decoded = np.floor(img.data * 255 + 0.5) / 255.0
+        decoded = np.floor(img * 255 + 0.5) / 255.0
         expected = resize_bilinear(decoded[:, :, 20:80], 32, 32)
-        np.testing.assert_allclose(images[0].data, expected, atol=1e-12)
+        np.testing.assert_allclose(images[0], expected, atol=1e-12)
 
     def test_square_passthrough(self, tmp_path, rng):
-        img = Tensor(rng.uniform(0, 1, (3, 16, 16)))
+        img = rng.uniform(0, 1, (3, 16, 16))
         write_ppm(tmp_path / "sq.ppm", img)
         images, _ = load_content_set(tmp_path, 16)
-        decoded = np.floor(img.data * 255 + 0.5) / 255.0
-        np.testing.assert_array_equal(images[0].data, decoded)
+        decoded = np.floor(img * 255 + 0.5) / 255.0
+        assert isinstance(images[0], np.ndarray)
+        np.testing.assert_array_equal(images[0], decoded)
 
     def test_deterministic_order_and_checksums(self, tmp_path):
         d = make_content_dir(tmp_path, count=3, side=16, seed=5)
@@ -130,10 +131,10 @@ class TestLoadContentSet:
         images2, names2 = load_content_set(d, 16)
         assert names1 == names2 == sorted(names1)
         for a, b in zip(images1, images2):
-            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(a, b)
 
     def test_undecodable_skipped_with_warning(self, tmp_path, rng):
-        write_ppm(tmp_path / "good.ppm", Tensor(rng.uniform(0, 1, (3, 8, 8))))
+        write_ppm(tmp_path / "good.ppm", rng.uniform(0, 1, (3, 8, 8)))
         (tmp_path / "junk.ppm").write_bytes(b"not an image")
         with pytest.warns(UserWarning, match="junk"):
             images, names = load_content_set(tmp_path, 8)
@@ -149,10 +150,10 @@ class TestTrain:
         contents = make_content_dir(tmp_path)
         model = init_model(0)
         snap = snapshot(model)
-        result = train(model, [(smooth_image(rng, 32), None)], contents,
-                       TrainConfig(epochs=0, side=16))
-        assert_same_weights(result.model, snap)
-        assert len(result.rows) == 1        # epoch 0: before any step
+        rows = train(model, [(smooth_image(rng, 32), None)], contents,
+                     TrainConfig(epochs=0, side=16))
+        assert_same_weights(model, snap)
+        assert len(rows) == 1               # epoch 0: before any step
 
     def test_zero_lr_model_and_validation_constant(self, tmp_path, rng,
                                                   monkeypatch):
@@ -160,20 +161,21 @@ class TestTrain:
         contents = make_content_dir(tmp_path)
         model = init_model(1)
         snap = snapshot(model)
-        result = train(model, [(smooth_image(rng, 32), None)], contents,
-                       TrainConfig(epochs=1, side=16))
-        assert_same_weights(result.model, snap)
-        assert result.rows[1].total == result.rows[0].total
+        rows = train(model, [(smooth_image(rng, 32), None)], contents,
+                     TrainConfig(epochs=1, side=16))
+        assert_same_weights(model, snap)
+        assert rows[1].total == rows[0].total
 
     def test_training_is_bit_deterministic(self, tmp_path, rng):
         contents = make_content_dir(tmp_path)
         style = smooth_image(rng, 32)
         cfg = TrainConfig(epochs=1, side=16, seed=9)
-        r1 = train(init_model(2), [(style, None)], contents, cfg)
-        r2 = train(init_model(2), [(style, None)], contents, cfg)
-        for a, b in zip(r1.model.parameters(), r2.model.parameters()):
+        m1, m2 = init_model(2), init_model(2)
+        rows1 = train(m1, [(style, None)], contents, cfg)
+        rows2 = train(m2, [(style, None)], contents, cfg)
+        for a, b in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
-        assert [r.total for r in r1.rows] == [r.total for r in r2.rows]
+        assert [r.total for r in rows1] == [r.total for r in rows2]
 
     def test_runs_in_float64(self, tmp_path, rng, monkeypatch):
         # stylize's float32 direction must not reach training: every
@@ -231,8 +233,7 @@ class TestTrain:
     def test_initial_style_pull_within_factor_ten(self, rng):
         # the auto style weight normalizes the initial style term across styles
         fe = default_extractor(0)
-        content = smooth_image(rng, 32)
-        feats = extract_features(content, fe)
+        feats = extract_features(Tensor(smooth_image(rng, 32)), fe)
         terms = []
         for seed in range(4):
             r = np.random.default_rng(100 + seed)
@@ -246,8 +247,8 @@ class TestCheckpoint:
         contents = make_content_dir(tmp_path)
         model = init_model(4, n_styles=n_styles)
         styles = [(smooth_image(rng, 32), None) for _ in range(n_styles)]
-        return train(model, styles, contents,
-                     TrainConfig(epochs=0, side=16)).model
+        train(model, styles, contents, TrainConfig(epochs=0, side=16))
+        return model
 
     def test_roundtrip_bit_exact(self, tmp_path, rng):
         model = self._trained_model(tmp_path, rng)
