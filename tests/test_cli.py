@@ -9,7 +9,7 @@ import pytest
 
 import gradstyle
 from conftest import save_bad_gram_checkpoint, smooth_image
-from gradstyle import cli
+from gradstyle import cli, solver
 from gradstyle.cli import main
 from gradstyle.imagecodec import read_image, write_ppm
 from gradstyle.network import NUM_STEPS, descent_step, init_model
@@ -294,6 +294,30 @@ class TestCompareCommand:
             blobs.append(csv_path.read_bytes())
         assert blobs[0] == blobs[1]
 
+
+    def test_content_features_extracted_once(self, workspace, tmp_path,
+                                             monkeypatch):
+        # the descent rows and the network row score against one extraction
+        # of the content's features
+        extracted, scored = [], []
+
+        def extract(x, fe):
+            extracted.append(extract_features(x, fe))
+            return extracted[-1]
+
+        def score(x, c_feats, target, fe):
+            scored.append(c_feats)
+            return total_loss(x, c_feats, target, fe)
+
+        monkeypatch.setattr(cli, "extract_features", extract)
+        monkeypatch.setattr(solver, "total_loss", score)
+        inp = tmp_path / "in.ppm"
+        write_ppm(inp, smooth_image(np.random.default_rng(15), 16))
+        assert main(["compare", "--model", str(workspace["ckpt"]),
+                     "--input", str(inp), "--iters", "2",
+                     "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert len(extracted) == 1
+        assert scored and all(feats is extracted[0] for feats in scored)
 
     @pytest.mark.parametrize("case", ["2 layers", "6 layers", "NaN entry"])
     def test_malformed_gram_targets_exit_3(self, tmp_path, capsys, case):

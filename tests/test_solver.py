@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_small_extractor, random_image, smooth_image
-from oracles import descent_iterates, exact_projector
+from oracles import descend, descent_iterates, exact_projector
 from gradstyle.graphfilter import build_pyramid, matting_laplacian
 from gradstyle.perceptual import (
     build_style_target,
@@ -33,8 +33,8 @@ def problem(rng, fe):
 class TestPlainDescent:
     def test_zero_iters_returns_init(self, problem, fe):
         content, target = problem
-        res = grad_descent_stylize(content, target, fe,
-                                   DescentConfig(iters=0, mu=1.0))
+        res = descend(content, target, fe,
+                      DescentConfig(iters=0, mu=1.0))
         np.testing.assert_array_equal(res.image, content)
         x = Tensor(content)
         _, parts = total_loss(x, extract_features(x, fe), target, fe)
@@ -49,14 +49,14 @@ class TestPlainDescent:
         target = StyleTarget([masked_gram(feats[l]).data for l in fe.style_layers],
                              lam_s=1.0)
         cfg = DescentConfig(iters=5, mu=1.0)
-        res = grad_descent_stylize(content, target, fe, cfg)
+        res = descend(content, target, fe, cfg)
         np.testing.assert_array_equal(res.image, content)
         assert res.trajectory[-1].total == 0.0
 
     def test_trajectory_rows_match_reevaluation(self, problem, fe):
         content, target = problem
         cfg = DescentConfig(iters=6, mu=0.5, seed=3)
-        res = grad_descent_stylize(content, target, fe, cfg)
+        res = descend(content, target, fe, cfg)
         iterates = descent_iterates(content, target, fe, cfg)
         assert len(iterates) == 7
         c_feats = extract_features(Tensor(content), fe)
@@ -65,30 +65,33 @@ class TestPlainDescent:
             assert row.total == pytest.approx(parts.total, rel=1e-10)
 
     def test_content_features_extracted_once(self, problem, fe, monkeypatch):
-        # the mu grid search probes reuse the run's content features
-        calls = []
+        # the run and its mu grid search probes score every iterate against
+        # the caller's content features and extract none of their own
+        scored = []
 
-        def spy(x, fe):
-            calls.append(x)
-            return extract_features(x, fe)
+        def spy(x, c_feats, target, fe):
+            scored.append(c_feats)
+            return total_loss(x, c_feats, target, fe)
 
-        monkeypatch.setattr(solver, "extract_features", spy)
+        monkeypatch.setattr(solver, "total_loss", spy)
         content, target = problem
-        grad_descent_stylize(content, target, fe, DescentConfig(iters=2))
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0].data, content)
+        c_feats = extract_features(Tensor(content), fe)
+        grad_descent_stylize(content, c_feats, target, fe,
+                             DescentConfig(iters=2))
+        assert len(scored) == len(MU_GRID) * 3 + 3
+        assert all(feats is c_feats for feats in scored)
 
     def test_grid_search_picks_from_grid(self, problem, fe):
         content, target = problem
-        res = grad_descent_stylize(content, target, fe,
-                                   DescentConfig(iters=1))
+        res = descend(content, target, fe,
+                      DescentConfig(iters=1))
         assert res.mu in MU_GRID
 
     @pytest.mark.parametrize("mode", ["content", "noise"])
     def test_init_modes(self, problem, fe, mode):
         content, target = problem
         cfg = DescentConfig(iters=0, mu=1.0, init=mode, seed=7)
-        res = grad_descent_stylize(content, target, fe, cfg)
+        res = descend(content, target, fe, cfg)
         if mode == "content":
             np.testing.assert_array_equal(res.image, content)
         else:
@@ -103,8 +106,8 @@ class TestPlainDescent:
             rng = np.random.default_rng(seed)
             content = smooth_image(rng, 16)
             target = build_style_target(smooth_image(rng, 16), fe)
-            res = grad_descent_stylize(content, target, fe,
-                                       DescentConfig(iters=12, seed=seed))
+            res = descend(content, target, fe,
+                          DescentConfig(iters=12, seed=seed))
             totals = [row.total for row in res.trajectory]
             ok = all(totals[i + 1] <= totals[i] * (1 + 1e-12)
                      for i in range(5, len(totals) - 1))
@@ -120,8 +123,8 @@ class TestPlainDescent:
         content = random_image(rng).data
         target = StyleTarget([np.eye(4)], lam_s=1.0)
         with pytest.raises(DivergenceError, match="non-finite"):
-            grad_descent_stylize(content, target, fe_bad,
-                                 DescentConfig(iters=2, mu=1.0))
+            descend(content, target, fe_bad,
+                    DescentConfig(iters=2, mu=1.0))
 
 
 class TestProjectedDescent:
@@ -143,9 +146,9 @@ class TestProjectedDescent:
         lap = matting_laplacian(content)
         projector = exact_projector(lap, lap.lambda_max * 1.5)
         assert projector.is_identity
-        plain = grad_descent_stylize(content, target, fe,
-                                     DescentConfig(iters=3, mu=0.5))
-        proj = grad_descent_stylize(
+        plain = descend(content, target, fe,
+                        DescentConfig(iters=3, mu=0.5))
+        proj = descend(
             content, target, fe,
             DescentConfig(iters=3, mu=0.5, projector=projector))
         np.testing.assert_array_equal(plain.image, proj.image)
@@ -157,7 +160,7 @@ class TestProjectedDescent:
         content, target = problem
         lap, projector = self._projector(content)
         cfg = DescentConfig(iters=0, mu=1.0, projector=projector)
-        res = grad_descent_stylize(content, target, fe, cfg)
+        res = descend(content, target, fe, cfg)
         for c in range(3):
             v = res.image[c].reshape(-1)
             r = v - projector(v)
@@ -180,7 +183,7 @@ class TestProjectedDescent:
         pyramid = build_pyramid(content)
         cfg = DescentConfig(iters=0, mu=1.0,
                             projector=functools.partial(pyramid.filter_map, 0))
-        res = grad_descent_stylize(content, target, fe, cfg)
+        res = descend(content, target, fe, cfg)
         np.testing.assert_array_equal(res.image,
                                       pyramid.filter_map(0, content))
 
@@ -197,11 +200,11 @@ class TestProjectedDescent:
             for mu in MU_GRID:
                 cfg = DescentConfig(iters=10, mu=mu, projector=projector)
                 try:
-                    res = grad_descent_stylize(content, target, fe, cfg)
+                    res = descend(content, target, fe, cfg)
                     finals.append(res.trajectory[-1].total)
                 except DivergenceError:
                     finals.append(np.inf)
-            res = grad_descent_stylize(
+            res = descend(
                 content, target, fe, DescentConfig(iters=10, projector=projector))
             assert res.mu == MU_GRID[int(np.argmin(finals))]
             picks.append(res.mu)

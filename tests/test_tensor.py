@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import held_bytes, traced_peak
+from gradstyle import tensor
 from gradstyle.network import init_model, unroll
 from gradstyle.perceptual import (
     build_style_target,
@@ -91,6 +92,68 @@ class TestConv:
         out = conv2d_reflect(x, layer)
         expected = 2.0 * layer.kernel.data.sum() + layer.bias.data[0]
         np.testing.assert_allclose(out.data[0, 0, 0], expected, rtol=1e-14)
+
+
+def conv_f(rng, c, co, h, w, dtype):
+    """conv2d_reflect of a random (c, h, w) map under a random c -> co layer,
+    in dtype, without the ReLU."""
+    x = Tensor(rng.uniform(-1, 1, (c, h, w)).astype(dtype))
+    layer = ConvLayer(Tensor(rng.standard_normal((co, c, 3, 3)).astype(dtype)),
+                      Tensor(rng.standard_normal(co).astype(dtype)),
+                      relu=False)
+    return lambda: conv2d_reflect(x, layer).data
+
+
+# (c, co, h, w) of a layer on each forward path, whose GEMM runs over a grid
+# a multiple of 64 columns wide: w on the column-matrix path (co >= c), the
+# padded width w + 2 on the tap path (co < c)
+BANDED_PATHS = {"im2col": (16, 32, 7, 64), "taps": (32, 16, 7, 62)}
+
+
+class TestConvBands:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("path", sorted(BANDED_PATHS))
+    def test_bands_are_bit_equal_to_one_band(self, rng, monkeypatch, path,
+                                             dtype):
+        c, co, h, w = BANDED_PATHS[path]
+        conv = conv_f(rng, c, co, h, w, dtype)
+        whole = conv()
+        grid, halo = (w, 0) if co >= c else (w + 2, 2)
+        per_column = 9 * min(c, co)  # column-matrix rows, or tap outputs
+        for budget, heights in ((1, [1] * 7),
+                                ((3 + halo) * per_column * grid, [3, 3, 1])):
+            monkeypatch.setattr(tensor, "BAND_ELEMENTS", budget)
+            bands = tensor._bands(h, grid, halo, per_column)
+            assert [r1 - r0 for r0, r1, _, _ in bands] == heights
+            np.testing.assert_array_equal(conv(), whole)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c, co", [(16, 32), (32, 16)])
+    def test_bands_on_any_width_round_only_the_last(self, rng, monkeypatch,
+                                                    c, co, dtype):
+        # off a 64-column grid every band but the last still spans whole
+        # tiles; the last band's partial tile may round otherwise
+        h, w = 40, 30
+        conv = conv_f(rng, c, co, h, w, dtype)
+        whole = conv()
+        monkeypatch.setattr(tensor, "BAND_ELEMENTS", 1)
+        banded = conv()
+        grid, halo = (w, 0) if co >= c else (w + 2, 2)
+        bands = tensor._bands(h, grid, halo, 9 * min(c, co))
+        last = bands[-1][0]
+        assert len(bands) > 1
+        np.testing.assert_array_equal(banded[:, :last], whole[:, :last])
+        tol = 1e-5 if dtype == np.float32 else 1e-13
+        np.testing.assert_allclose(banded, whole, rtol=tol, atol=tol)
+
+    def test_untaped_scratch_stays_within_one_band(self, rng):
+        # the unbanded 32->16 conv at 128^2 held a (144, 130 * 130) float32
+        # tap buffer, 9.7 MB, more than these three together
+        c, co, side = 32, 16, 128
+        conv = conv_f(rng, c, co, side, side, np.float32)
+        bound = 4 * (c * (side + 2) ** 2 + co * side ** 2
+                     + tensor.BAND_ELEMENTS)
+        assert traced_peak(conv) < bound
 
 
 class TestPool:
