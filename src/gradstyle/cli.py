@@ -36,8 +36,8 @@ from .network import (
 from .perceptual import (
     LAM_C,
     LAM_TV,
+    content_features,
     default_extractor,
-    extract_features,
     total_loss,
 )
 from .solver import INIT_MODES, DescentConfig, grad_descent_stylize
@@ -249,7 +249,7 @@ def _cmd_compare(args) -> int:
     cfg = DescentConfig(iters=args.iters, mu=args.mu, init=args.init,
                         seed=args.seed)
     x = Tensor(padded)
-    c_feats = extract_features(x, fe)
+    c_feats = content_features(x, fe)
     result = grad_descent_stylize(padded, c_feats, target, fe, cfg)
     _, net_parts = total_loss(unroll(x, model, style_id), c_feats, target, fe)
 

@@ -107,6 +107,13 @@ def extract_features(x: Tensor, fe: FeatureExtractor) -> list[Tensor]:
     return conv_pyramid(x, fe.layers)
 
 
+def content_features(x: Tensor, fe: FeatureExtractor) -> dict[int, Tensor]:
+    """A content image's maps at fe.content_layers, keyed by level: all that
+    content_loss reads of them, so the other levels are freed at once."""
+    feats = extract_features(x, fe)
+    return {lvl: feats[lvl] for lvl in fe.content_layers}
+
+
 # ---------------------------------------------------------------------------
 # masks
 
@@ -196,9 +203,11 @@ def _mean_sq_diff(pairs, what: str) -> Tensor:
     return total
 
 
-def content_loss(x_feats: list[Tensor], c_feats: list[Tensor],
+def content_loss(x_feats: list[Tensor], c_feats: dict[int, Tensor],
                  fe: FeatureExtractor) -> Tensor:
-    """Mean over content layers of ||F - C||_F^2 / (pixels * channels)."""
+    """Mean over content layers of ||F - C||_F^2 / (pixels * channels);
+    c_feats holds the content's maps by level, as content_features returns
+    them."""
     return _mean_sq_diff([(lvl, x_feats[lvl], c_feats[lvl])
                           for lvl in fe.content_layers], "content")
 
@@ -231,7 +240,7 @@ LAM_C = 0.025
 LAM_TV = 0.5
 
 
-def total_loss(x4: Tensor, c_feats: list[Tensor], target: StyleTarget,
+def total_loss(x4: Tensor, c_feats: dict[int, Tensor], target: StyleTarget,
                fe: FeatureExtractor) -> tuple[Tensor, LossParts]:
     """Full training objective evaluated on the clipped image, and its terms.
 

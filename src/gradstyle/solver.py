@@ -67,9 +67,10 @@ def grad_descent_stylize(content: np.ndarray, c_feats, target: StyleTarget,
                          fe: FeatureExtractor,
                          cfg: DescentConfig) -> DescentResult:
     """Gradient descent on the objective from a (3, h, w) content array;
-    c_feats are its features under fe, which the caller extracts once for
-    every mu probe and its own use. trajectory has one row per iterate.
-    When cfg.projector is set, the init and every update pass through it."""
+    c_feats are its content_features under fe, which the caller extracts
+    once for every mu probe and its own use. trajectory has one row per
+    iterate. When cfg.projector is set, the init and every update pass
+    through it."""
     project = cfg.projector if cfg.projector is not None else (lambda x: x)
     x = Tensor(project(_init_image(content, cfg)))
     mu = cfg.mu if cfg.mu is not None else _pick_mu(

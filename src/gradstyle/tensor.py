@@ -11,7 +11,8 @@ primitive computes in its inputs' dtype. Training and the losses run in
 float64; only stylize's descent direction runs in float32.
 
 The tape holds only what the vector-Jacobian products read, plus the
-leaves, so a map that no vjp reads is freed once its caller drops it.
+leaves, so a map that no vjp reads is freed once its caller drops it, and
+backward frees each record as it replays it.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class _Record(NamedTuple):
 
 
 class GradTape:
-    """Recorded primitive applications, replayed in reverse by backward().
+    """Recorded primitive applications, replayed in reverse by backward(),
+    which consumes them: a tape is differentiated once.
 
     A record names the tensors this tape made by their node keys and holds
     only the leaves as tensors, so it keeps just the arrays its vjp reads.
@@ -141,18 +143,22 @@ def backward(tape: GradTape, output: Tensor) -> dict:
     (parameters, images).
 
     Replayed by node keys, returned keyed by the leaf tensors themselves,
-    which hash by identity (Tensor defines no __eq__). A produced tensor's
-    gradient is dropped once its record has used it, so intermediate
-    gradients never pile up.
+    which hash by identity (Tensor defines no __eq__). The tape is consumed:
+    each record is popped off it as it is replayed, so the arrays its vjp
+    reads are freed once that vjp has run, and a second backward on the
+    tape raises TapeError. A produced tensor's gradient is dropped once its
+    record has used it, so intermediate gradients never pile up.
     """
-    if not tape.records:
+    records = tape.records
+    if not records:
         raise TapeError("empty tape")
     if np.ndim(output.data) != 0 and output.data.size != 1:
         raise TapeError(f"backward needs a scalar output, got shape {output.data.shape}")
     if output._key not in tape._produced:
         raise TapeError("output was not recorded on this tape")
     grads = {output._key: np.ones_like(output.data)}
-    for rec in reversed(tape.records):
+    while records:
+        rec = records.pop()
         g_out = grads.pop(rec.output, None)
         if g_out is None:
             continue

@@ -30,8 +30,8 @@ from .perceptual import (
     LossParts,
     StyleTarget,
     build_style_target,
+    content_features,
     default_extractor,
-    extract_features,
     total_loss,
 )
 from .tensor import (
@@ -181,9 +181,9 @@ def train(model: UnrolledModel, styles, contents_dir,
     images, _ = load_content_set(contents_dir, cfg.side)
     n_val = max(1, len(images) // 10)
     train_imgs, val_imgs = images[:-n_val] or images[-n_val:], images[-n_val:]
-    train_feats = [extract_features(Tensor(img), fe) for img in train_imgs]
+    train_feats = [content_features(Tensor(img), fe) for img in train_imgs]
     val_imgs = [Tensor(img) for img in val_imgs]
-    val_feats = [extract_features(img, fe) for img in val_imgs]
+    val_feats = [content_features(img, fe) for img in val_imgs]
 
     params = model.parameters()
     adam = AdamState(params)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gradstyle.network import SIDE_MULTIPLE, InferenceOptions, unroll
-from gradstyle.perceptual import extract_features
+from gradstyle.perceptual import content_features
 from gradstyle.solver import grad_descent_stylize
 from gradstyle.tensor import Tensor, inv_sym3, mirror_pad
 
@@ -424,7 +424,7 @@ def descent_iterates(content, target, fe, cfg):
 
 def descend(content, target, fe, cfg):
     """grad_descent_stylize from `content`, its features extracted here."""
-    return grad_descent_stylize(content, extract_features(Tensor(content), fe),
+    return grad_descent_stylize(content, content_features(Tensor(content), fe),
                                 target, fe, cfg)
 
 

@@ -14,6 +14,7 @@ from gradstyle.cli import main
 from gradstyle.imagecodec import read_image, write_ppm
 from gradstyle.network import NUM_STEPS, descent_step, init_model
 from gradstyle.perceptual import (
+    content_features,
     default_extractor,
     extract_features,
     total_loss,
@@ -302,14 +303,14 @@ class TestCompareCommand:
         extracted, scored = [], []
 
         def extract(x, fe):
-            extracted.append(extract_features(x, fe))
+            extracted.append(content_features(x, fe))
             return extracted[-1]
 
         def score(x, c_feats, target, fe):
             scored.append(c_feats)
             return total_loss(x, c_feats, target, fe)
 
-        monkeypatch.setattr(cli, "extract_features", extract)
+        monkeypatch.setattr(cli, "content_features", extract)
         monkeypatch.setattr(solver, "total_loss", score)
         inp = tmp_path / "in.ppm"
         write_ppm(inp, smooth_image(np.random.default_rng(15), 16))

@@ -436,8 +436,9 @@ def test_tape_in_one_thread_records_nothing_from_another(rng):
             if concurrent:
                 tape_open.set()
                 inference_done.wait(timeout=60)
+            recorded = len(tape.records)
             grads = backward(tape, loss)
-        return len(tape.records), grads[model.bwd[-1].kernel]
+        return recorded, grads[model.bwd[-1].kernel]
 
     def infer(opts):
         tape_open.wait(timeout=60)
@@ -472,11 +473,12 @@ def test_tape_in_one_thread_records_nothing_from_another(rng):
     np.testing.assert_array_equal(results["train"][1], serial["train"][1])
 
 
-def test_untaped_stylize_builds_no_im2col_buffer(rng):
-    # the im2col matrix of the 16->3 conv at 128^2 alone is 9*16*128^2*8 B
+def test_untaped_stylize_peak_memory(rng):
+    # an untaped 128^2 stylize peaks near 6.9 MB: one step's float32 maps
+    # and one conv's scratch at a time, which at 128^2 is one band per conv
     model = init_model(0)
     img = rng.uniform(0.1, 0.9, (3, 128, 128))
-    assert traced_peak(lambda: stylize(img, model)) < 9 * 16 * 128 * 128 * 8
+    assert traced_peak(lambda: stylize(img, model)) < 8e6
 
 
 def test_hooked_backward_pyramid_frees_each_map_once_used(rng):

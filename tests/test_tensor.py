@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -14,8 +15,8 @@ from gradstyle import tensor
 from gradstyle.network import init_model, unroll
 from gradstyle.perceptual import (
     build_style_target,
+    content_features,
     default_extractor,
-    extract_features,
     total_loss,
 )
 from gradstyle.tensor import (
@@ -218,6 +219,21 @@ class TestPointwise:
         assert grads[t][0, 0, 0] == expected
 
 
+def training_step(rng):
+    """init_model(0), and a callable that records one 64x64 training step
+    of it on a fresh tape and returns (tape, loss)."""
+    model, fe = init_model(0), default_extractor(0)
+    target = build_style_target(rng.uniform(0, 1, (3, 64, 64)), fe)
+    img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
+    c_feats = content_features(img, fe)
+
+    def taped_step():
+        with GradTape() as tape:
+            loss, _ = total_loss(unroll(img, model), c_feats, target, fe)
+        return tape, loss
+    return model, taped_step
+
+
 class TestBackward:
     def test_sum_gradient_all_ones(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 3)))
@@ -277,33 +293,49 @@ class TestBackward:
             grads = backward(tape, loss)
         assert set(grads) == {x, m}
 
+    def test_consumed_tape_raises(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 2)))
+        with GradTape() as tape:
+            loss = sqsum(relu(x))
+            backward(tape, loss)
+            with pytest.raises(TapeError, match="empty"):
+                backward(tape, loss)
+
     def test_training_step_peak_memory(self, rng):
         # one 64x64 training step: keeping every intermediate gradient until
-        # the end peaked at 25 MB, the leaves' gradients alone take 5.4 MB
-        model, fe = init_model(0), default_extractor(0)
-        target = build_style_target(rng.uniform(0, 1, (3, 64, 64)), fe)
-        img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
-        c_feats = extract_features(img, fe)
-        with GradTape() as tape:
-            loss, _ = total_loss(unroll(img, model), c_feats, target, fe)
+        # the end peaked at 25 MB; dropping each once used, 5.4 MB, of which
+        # the leaves' gradients take 3.0 MB
+        model, taped_step = training_step(rng)
+        backward(*taped_step())                    # warm-up step
+        tape, loss = taped_step()
+        tracemalloc.start()
+        try:
             grads = backward(tape, loss)
-            peak = traced_peak(lambda: backward(tape, loss))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert set(model.parameters()) <= set(grads)
         assert peak < 12e6
 
     def test_training_tape_keeps_only_what_vjps_read(self, rng):
         # one 64x64 training step's tape: holding every intermediate map
         # kept 26.7 MB, the arrays the vjps read and the leaves take 13.4 MB
-        model, fe = init_model(0), default_extractor(0)
-        target = build_style_target(rng.uniform(0, 1, (3, 64, 64)), fe)
-        img = Tensor(rng.uniform(0, 1, (3, 64, 64)))
-        c_feats = extract_features(img, fe)
+        _, taped_step = training_step(rng)
+        assert held_bytes(lambda: taped_step()[0]) < 18e6
 
-        def taped_step():
-            with GradTape() as tape:
-                total_loss(unroll(img, model), c_feats, target, fe)
-            return tape
-        assert held_bytes(taped_step) < 18e6
+    def test_backward_frees_the_tape_it_replays(self, rng):
+        # traced from before the forward pass, a step whose tape outlives
+        # backward holds the leaves' gradients; a tape replayed in place
+        # kept its 13.4 MB of vjp arrays beside them
+        _, taped_step = training_step(rng)
+
+        def step():
+            tape, loss = taped_step()
+            return tape, backward(tape, loss)
+        tape, grads = step()
+        assert tape.records == []
+        grad_bytes = sum(g.nbytes for g in grads.values())
+        assert held_bytes(step) < grad_bytes + 1e6
 
     def test_unread_intermediate_is_freed_while_the_tape_is_open(self, rng):
         # neither bilinear_up2's vjp nor lincomb's reads the upsampled map
