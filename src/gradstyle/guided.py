@@ -51,31 +51,57 @@ def _box_mean(arr, radius):
     i1, i2 = np.maximum(i - r, 0), np.minimum(i + r, h - 1) + 1
     j1, j2 = np.maximum(j - r, 0), np.minimum(j + r, w - 1) + 1
     below, above = integral[i2], integral[i1]
-    sums = below[:, j2] - above[:, j2] - below[:, j1] + above[:, j1]
-    return sums / ((i2 - i1)[:, None] * (j2 - j1)[None, :]).astype(np.float64)
+    del integral
+    sums = below[:, j2]
+    sums -= above[:, j2]
+    sums -= below[:, j1]
+    sums += above[:, j1]
+    sums /= ((i2 - i1)[:, None] * (j2 - j1)[None, :]).astype(np.float64)
+    return sums
 
 
 def guided_filter(p: np.ndarray, guide: np.ndarray,
                   params: GuidedFilterParams | None = None) -> np.ndarray:
-    """Filter each channel of a (c, h, w) p by a (3, h, w) guide's structure."""
+    """Filter each channel of a (c, h, w) p by a (3, h, w) guide's structure.
+
+    Every plane is freed once its last use is done, and each channel's
+    intermediates before the next channel starts, so the peak comes in
+    inv_sym3, while the covariance planes, its factors and the inverse are
+    alive.
+    """
     params = params or GuidedFilterParams()
     if guide.shape[0] != 3:
         raise ValueError("guide must have 3 channels")
     if p.shape[1:] != guide.shape[1:]:
         raise ValueError(f"shape mismatch: p {p.shape[1:]} vs guide {guide.shape[1:]}")
     r = params.radius
-    mean_i = np.stack([_box_mean(g, r) for g in guide])  # (3, h, w)
+    mean_i = np.empty(guide.shape)
+    for k, g in enumerate(guide):
+        mean_i[k] = _box_mean(g, r)
     # the lower triangle of each window's guide covariance, the only part
     # inv_sym3 reads: E[I I^T] - E[I] E[I]^T, plus the regularizer
-    inv = inv_sym3({(i, j): _box_mean(guide[i] * guide[j], r)
-                    - mean_i[i] * mean_i[j] + params.eps * (i == j)
-                    for i in range(3) for j in range(i + 1)})
+    cov = {}
+    for i in range(3):
+        for j in range(i + 1):
+            cov[i, j] = _box_mean(guide[i] * guide[j], r)
+            cov[i, j] -= mean_i[i] * mean_i[j]
+            cov[i, j] += params.eps * (i == j)
+    inv = inv_sym3(cov)
+    del cov
     out = np.empty_like(p)
+    means = np.empty(guide.shape)           # cov(I, p), then the mean of a
     for c, pc in enumerate(p):
         mean_p = _box_mean(pc, r)
-        cov_ip = np.stack([_box_mean(g * pc, r) for g in guide]) - mean_i * mean_p
-        a = np.einsum("ijhw,jhw->ihw", inv, cov_ip)
-        b = mean_p - np.einsum("ihw,ihw->hw", a, mean_i)
-        mean_a = np.stack([_box_mean(ai, r) for ai in a])
-        out[c] = np.einsum("ihw,ihw->hw", mean_a, guide) + _box_mean(b, r)
+        for k, g in enumerate(guide):
+            means[k] = _box_mean(g * pc, r)
+            means[k] -= mean_i[k] * mean_p
+        a = np.einsum("ijhw,jhw->ihw", inv, means)
+        b = np.einsum("ihw,ihw->hw", a, mean_i)
+        np.subtract(mean_p, b, out=b)
+        del mean_p
+        for k, ak in enumerate(a):
+            means[k] = _box_mean(ak, r)
+        del a
+        out[c] = np.einsum("ihw,ihw->hw", means, guide) + _box_mean(b, r)
+        del b
     return out

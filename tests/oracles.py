@@ -9,6 +9,8 @@ descent's iterates off the library's own runs; and the whole-image forms of
 the matting-Laplacian assembly and the guided filter, which the banded and
 plane-wise library forms must match bit for bit: they share the library's
 closed-form 3x3 inverse (inv_sym3), since only the same arithmetic can.
+inv_sym3_stacked is that inverse as it was before it wrote in place, which
+the library's must still match bit for bit.
 """
 
 from dataclasses import replace
@@ -251,6 +253,26 @@ def matting_diagonals_whole_image(img, eps):
             diags[slot[qa - pa + 2, qb - pb + 2], qa:qa + hk, qb:qb + wk] += (
                 float(p == q) - (1.0 + quad) / 9.0)
     return diags.reshape(len(uniq), h * w), uniq
+
+
+def inv_sym3_stacked(m):
+    """inv_sym3's closed-form Cholesky inverse, every factor kept alive and
+    the result stacked from three rows of three planes."""
+    l00 = np.sqrt(m[0, 0])
+    l10, l20 = m[1, 0] / l00, m[2, 0] / l00
+    l11 = np.sqrt(m[1, 1] - l10 * l10)
+    l21 = (m[2, 1] - l20 * l10) / l11
+    l22 = np.sqrt(m[2, 2] - l20 * l20 - l21 * l21)
+    u00, u11, u22 = 1.0 / l00, 1.0 / l11, 1.0 / l22
+    u10 = -l10 * u00 * u11
+    u21 = -l21 * u11 * u22
+    u20 = -(l20 * u00 + l21 * u10) * u22
+    i01 = u10 * u11 + u20 * u21
+    i02 = u20 * u22
+    i12 = u21 * u22
+    return np.stack([np.stack([u00 * u00 + u10 * u10 + u20 * u20, i01, i02]),
+                     np.stack([i01, u11 * u11 + u21 * u21, i12]),
+                     np.stack([i02, i12, u22 * u22])])
 
 
 def _box_mean_channels_last(arr, radius):
