@@ -309,37 +309,42 @@ def inv_sym3(m: np.ndarray) -> np.ndarray:
 # primitives
 
 
-# Elements of column matrix one band of output rows may build, 4 MB in
-# float32; only convs with at least as many outputs as inputs build one.
-# Unbanded, the ~9.5 MB float32 matrices of the 128^2 convs set a 256^2
-# stylize's peak RSS: at 2^20 the artistic benchmark peaks at ~75 MB
-# against 83.7 MB unbanded, at 2^19 the same, and at 2^21 at 82.5 MB,
-# which loses the gain.
+# Elements of scratch (column matrix or tap buffer) one band of output rows
+# may build, 4 MB in float32. Unbanded, the ~9.5 MB float32 buffers of the
+# 128^2 convs set a 256^2 stylize's peak RSS: at 2^20 the artistic
+# benchmark peaks at ~75 MB against 83.7 MB unbanded, at 2^19 the same,
+# and at 2^21 at 82.5 MB, which loses the gain.
 BAND_ELEMENTS = 2 ** 20
 
 
-def _bands(h, width, per_column):
-    """Bands [r0, r1) of the h output rows of a conv whose GEMM has `width`
-    columns per output row, so a band's GEMM covers the flat columns
-    [r0 * width, r1 * width). Bands are of equal height where h allows,
-    each within BAND_ELEMENTS scratch elements at per_column elements a
-    GEMM column, but at least one step of rows tall.
+def _bands(h, width, halo, per_column):
+    """Bands of the h output rows of a conv whose GEMM runs over a grid
+    `width` columns wide and needs `halo` grid rows below a band's output
+    rows: (r0, r1, start, stop) for output rows [r0, r1) and the flat grid
+    columns [start, stop) of their GEMM. Bands are of equal height where h
+    allows, each within BAND_ELEMENTS scratch elements at per_column
+    elements a grid column, but at least one step of rows tall.
 
     A BLAS kernel sums a GEMM's last, partial tile of columns in another
     order than its full tiles, so each band's GEMM starts and ends on a
-    multiple of 64 columns, except the last, which ends where the unbanded
-    GEMM does. Every output element then comes out as in the one-band
-    product, save where a short last band falls to OpenBLAS's small-matrix
-    kernel (under about 10^6 multiply-adds), which may round its partial
-    tile differently.
+    multiple of 64 grid columns, except the last, which ends where the
+    unbanded GEMM does. Every output element then comes out as in the
+    one-band product, save where a short last band falls to OpenBLAS's
+    small-matrix kernel (under about 10^6 multiply-adds), which may round
+    its partial tile differently.
     """
     tile = 64
     step = tile // math.gcd(width, tile)  # rows that span whole tiles
-    fit = BAND_ELEMENTS // (per_column * width)
+    fit = BAND_ELEMENTS // (per_column * width) - halo
     fit = max(step, fit // step * step)
     count = -(-h // fit)
     rows = -(-h // (count * step)) * step
-    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+    bands = []
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        stop = min(-(-(r1 + halo) * width // tile) * tile, (h + halo) * width)
+        bands.append((r0, r1, r0 * width, stop))
+    return bands
 
 
 def _im2col(padded, kh, kw, h, w, cols):
@@ -358,12 +363,10 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer) -> Tensor:
 
     Fuses the ReLU when layer.relu is set; a caller that must act between
     the convolution and the nonlinearity passes replace(layer, relu=False),
-    which shares the kernel and bias tensors. With fewer outputs than
-    inputs the forward pass sums nine window GEMMs, one per tap, and its
-    scratch is two output-sized maps. Otherwise it computes the output one
-    band of rows at a time (see _bands), so its column matrix stays within
-    BAND_ELEMENTS elements; every output element is the same dot product
-    summed over the taps in the same order, whatever the banding.
+    which shares the kernel and bias tensors. The forward pass computes the
+    output one band of rows at a time (see _bands), so its scratch stays
+    within BAND_ELEMENTS elements; every output element is the same dot
+    product summed over the taps in the same order, whatever the banding.
     The tape keeps only the padded input and, when the ReLU is fused, the
     output its mask reads: the vjp computes each tap's kernel and input
     gradients as two GEMMs against a shifted window of the flattened padded
@@ -379,38 +382,39 @@ def conv2d_reflect(x: Tensor, layer: ConvLayer) -> Tensor:
     hp, wp = padded.shape[1:]
     dtype = np.result_type(kern.data, padded)
     if co < c:
-        # Fewer outputs than inputs: on the flattened padded map tap (dy, dx)
-        # reads the contiguous window [s, s + n). Nine GEMMs against those
-        # windows sum, in tap order, into an output laid on the padded row
-        # stride, which is then cropped, so no column matrix is built.
-        taps = np.ascontiguousarray(kern.data.transpose(2, 3, 0, 1))
-        n = (h - 1) * wp + w
+        # Fewer outputs than inputs: one GEMM per band evaluates every tap
+        # over the band's padded rows, a (kh*kw*co, rows*wp) buffer instead
+        # of the larger column matrix, and the shifted tap slices are summed.
+        taps = kern.data.transpose(2, 3, 0, 1).reshape(kh * kw * co, c)
         pf = padded.reshape(c, hp * wp)
-        # one allocation holds the output on the padded stride and one
-        # tap's product
-        wide, part = np.empty((2, co, h * wp), dtype=dtype)
-        acc, part = wide[:, :n], part[:, :n]
-        np.matmul(taps[0, 0], pf[:, :n], out=acc)
-        for dy in range(kh):
-            for dx in range(kw):
-                if dy or dx:
-                    s = dy * wp + dx
-                    acc += np.matmul(taps[dy, dx], pf[:, s:s + n], out=part)
         out_data = np.empty((co, h, w), dtype=dtype)
-        np.add(wide.reshape(co, h, wp)[:, :, :w], bias.data[:, None, None],
-               out=out_data)
+        bands = _bands(h, wp, kh - 1, kh * kw * co)
+        # every band's GEMM fits the first's columns; the bands share them
+        scratch = np.empty((kh * kw * co, bands[0][3]), dtype=dtype)
+        for r0, r1, start, stop in bands:
+            n, rows = r1 - r0, r1 - r0 + kh - 1
+            part = np.matmul(taps, pf[:, start:stop],
+                             out=scratch[:, :stop - start])
+            part = part[:, :rows * wp].reshape(kh, kw, co, rows, wp)
+            band = out_data[:, r0:r1]
+            band[...] = part[0, 0, :, :n, :w]
+            for dy in range(kh):
+                for dx in range(kw):
+                    if dy or dx:
+                        band += part[dy, dx, :, dy:dy + n, dx:dx + w]
+        out_data += bias.data[:, None, None]
     else:
         # One column matrix per band, built from its rows plus kh-1 halo
         # rows of the padded map in a buffer the bands share, multiplied
         # into that band of the output.
         w2 = kern.data.reshape(co, c * kh * kw)
         out_data = np.empty((co, h * w), dtype=dtype)
-        bands = _bands(h, w, c * kh * kw)
+        bands = _bands(h, w, 0, c * kh * kw)
         cols = np.empty((c, kh, kw, bands[0][1], w), dtype=padded.dtype)
-        for r0, r1 in bands:
+        for r0, r1, start, stop in bands:
             np.matmul(w2, _im2col(padded[:, r0:r1 + kh - 1], kh, kw,
                                   r1 - r0, w, cols),
-                      out=out_data[:, r0 * w:r1 * w])
+                      out=out_data[:, start:stop])
         out_data += bias.data[:, None]
         out_data = out_data.reshape(co, h, w)
     relu_out = None

@@ -105,10 +105,10 @@ def conv_f(rng, c, co, h, w, dtype):
     return lambda: conv2d_reflect(x, layer).data
 
 
-# (c, co, h, w) of a layer on the banded forward path, the column matrix of
-# a conv with at least as many outputs as inputs, whose GEMM runs over a
-# grid a multiple of 64 columns wide
-BANDED_PATHS = {"im2col": (16, 32, 7, 64)}
+# (c, co, h, w) of a layer on each forward path, whose GEMM runs over a grid
+# a multiple of 64 columns wide: w on the column-matrix path (co >= c), the
+# padded width w + 2 on the tap path (co < c)
+BANDED_PATHS = {"im2col": (16, 32, 7, 64), "taps": (32, 16, 7, 62)}
 
 
 class TestConvBands:
@@ -119,11 +119,13 @@ class TestConvBands:
         c, co, h, w = BANDED_PATHS[path]
         conv = conv_f(rng, c, co, h, w, dtype)
         whole = conv()
-        per_column = 9 * c  # column-matrix rows
-        for budget, heights in ((1, [1] * 7), (3 * per_column * w, [3, 3, 1])):
+        grid, halo = (w, 0) if co >= c else (w + 2, 2)
+        per_column = 9 * min(c, co)  # column-matrix rows, or tap outputs
+        for budget, heights in ((1, [1] * 7),
+                                ((3 + halo) * per_column * grid, [3, 3, 1])):
             monkeypatch.setattr(tensor, "BAND_ELEMENTS", budget)
-            bands = tensor._bands(h, w, per_column)
-            assert [r1 - r0 for r0, r1 in bands] == heights
+            bands = tensor._bands(h, grid, halo, per_column)
+            assert [r1 - r0 for r0, r1, _, _ in bands] == heights
             np.testing.assert_array_equal(conv(), whole)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -131,30 +133,27 @@ class TestConvBands:
     def test_bands_on_any_width_round_only_the_last(self, rng, monkeypatch,
                                                     c, co, dtype):
         # off a 64-column grid every band but the last still spans whole
-        # tiles; the last band's partial tile may round otherwise. With
-        # fewer outputs than inputs the conv does not band, so the budget
-        # changes nothing
+        # tiles; the last band's partial tile may round otherwise
         h, w = 40, 30
         conv = conv_f(rng, c, co, h, w, dtype)
         whole = conv()
         monkeypatch.setattr(tensor, "BAND_ELEMENTS", 1)
         banded = conv()
-        bands = tensor._bands(h, w, 9 * c)
-        last = bands[-1][0] if co >= c else h
+        grid, halo = (w, 0) if co >= c else (w + 2, 2)
+        bands = tensor._bands(h, grid, halo, 9 * min(c, co))
+        last = bands[-1][0]
         assert len(bands) > 1
         np.testing.assert_array_equal(banded[:, :last], whole[:, :last])
         tol = 1e-5 if dtype == np.float32 else 1e-13
         np.testing.assert_allclose(banded, whole, rtol=tol, atol=tol)
 
-    @pytest.mark.parametrize("c, co, side, bound",
-                             [(32, 16, 128, 5.9e6), (16, 3, 256, 7.5e6)],
-                             ids=["32-16-128", "16-3-256"])
-    def test_fewer_outputs_conv_builds_no_tap_buffer(self, rng, c, co, side,
-                                                     bound):
-        # nine window GEMMs: the padded input, the output and two
-        # output-sized maps on the padded row stride, 5.6 and 6.8 MB traced.
-        # The banded (9 * co, band) tap GEMM peaked at 6.1 and 8.9 MB
+    def test_untaped_scratch_stays_within_one_band(self, rng):
+        # the unbanded 32->16 conv at 128^2 held a (144, 130 * 130) float32
+        # tap buffer, 9.7 MB, more than these three together
+        c, co, side = 32, 16, 128
         conv = conv_f(rng, c, co, side, side, np.float32)
+        bound = 4 * (c * (side + 2) ** 2 + co * side ** 2
+                     + tensor.BAND_ELEMENTS)
         assert traced_peak(conv) < bound
 
 
@@ -675,7 +674,7 @@ class TestDtype:
     def test_primitives_keep_float32(self, kind, rng):
         data, mat = rng.standard_normal((4, 6, 6)), rng.standard_normal((4, 4))
         mask = (np.arange(36) % 3 > 0).astype(float)
-        # fewer outputs than inputs takes the window GEMMs, more the im2col one
+        # fewer outputs than inputs takes the tap GEMM, more the im2col one
         layers = {"conv_taps": make_layer(rng, 2, 4),
                   "conv_cols": make_layer(rng, 6, 4)}
 
